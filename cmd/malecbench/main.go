@@ -82,7 +82,7 @@ type throughputRow struct {
 	IPC          float64 `json:"ipc"`
 	// Cycle-skip telemetry: how many simulated cycles the event-driven
 	// fast-forward jumped over (and in how many jumps), and the resulting
-	// fraction of all cycles. Zero when skipping is disabled.
+	// fraction of all cycles.
 	SkippedCycles uint64  `json:"skipped_cycles"`
 	SkipJumps     uint64  `json:"skip_jumps"`
 	SkipRate      float64 `json:"skip_rate"`

@@ -96,33 +96,6 @@ type Config struct {
 	// MSHRs bounds outstanding L1 misses (miss status holding
 	// registers); further misses stall until one retires.
 	MSHRs int
-	// DisableCycleSkip forces the plain cycle-by-cycle simulation loop,
-	// turning off the event-driven fast-forward over stalled cycles. The
-	// fast-forward is a host-simulator optimization that never alters
-	// simulated timing, energy or statistics (differentially tested); this
-	// escape hatch exists for debugging and A/B measurement. The
-	// MALEC_NO_CYCLE_SKIP environment variable (any non-empty value) has
-	// the same effect.
-	DisableCycleSkip bool
-	// DisableWakeup forces the scan-based issue path: instead of
-	// producers waking their registered dependents on completion and
-	// issue draining an age-ordered ready set, every cycle rescans the
-	// in-flight window with per-entry readiness checks. Like
-	// DisableCycleSkip this is a host-simulator toggle that never alters
-	// simulated results (differentially tested) and exists for debugging
-	// and A/B measurement; the MALEC_NO_WAKEUP environment variable (any
-	// non-empty value) has the same effect.
-	DisableWakeup bool
-	// DisableMemIndex forces the scan-based memory-side lookup paths:
-	// uTLB/TLB forward and reverse lookups revert to linear scans over the
-	// fully-associative entry arrays, and way-table SlotFor reverts to a
-	// slot scan, instead of the compact hash indexes maintained alongside
-	// them. Like DisableCycleSkip and DisableWakeup this is a
-	// host-simulator toggle that never alters simulated results
-	// (differentially tested) and exists for debugging and A/B
-	// measurement; the MALEC_NO_MEM_INDEX environment variable (any
-	// non-empty value) has the same effect.
-	DisableMemIndex bool
 	// Bypass enables run-time cache bypassing (Sec. VI-D): loads to
 	// pages classified as streaming skip L1 allocation and way-table
 	// maintenance.
@@ -142,12 +115,11 @@ type Config struct {
 	// sampling: the trace functionally warms the memory side (caches,
 	// TLBs, way tables, page table) between detailed measurement windows,
 	// and cycles/energy are extrapolated from the windows with confidence
-	// intervals. Unlike the Disable* toggles above this changes simulated
-	// results (they become estimates), so it participates in the config
-	// digest; the exact path remains the differential reference behind
-	// Sampling == nil or MALEC_NO_SAMPLING=1 (any non-empty value). The
-	// field is a pointer with omitempty so every existing config marshals
-	// byte-identically and keeps its cache key.
+	// intervals. It changes simulated results (they become estimates), so
+	// it participates in the config digest; Sampling == nil is the exact
+	// path, the reference the estimates are tested against. The field is
+	// a pointer with omitempty so a config without a schedule marshals as
+	// if the field did not exist.
 	Sampling *Sampling `json:",omitempty"`
 }
 

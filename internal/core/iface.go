@@ -8,8 +8,6 @@
 package core
 
 import (
-	"os"
-
 	"malec/internal/buffers"
 	"malec/internal/cache"
 	"malec/internal/config"
@@ -139,19 +137,6 @@ func NewSystem(cfg config.Config) *System {
 			cfg.WalkLatency + (cfg.MSHRs+2)*64 + 64),
 		mshr: make([]int64, 0, cfg.MSHRs+1),
 	}
-	// Escape hatches, both host-simulator-only (never simulated results):
-	// scan-based memory-side lookups as the differential reference for the
-	// TLB/way-table hash indexes, and eager per-event float accumulation as
-	// the reference for the meter's deferred event-count pricing.
-	indexed := !cfg.DisableMemIndex && os.Getenv("MALEC_NO_MEM_INDEX") == ""
-	if !indexed {
-		ut.SetIndexed(false)
-		mt.SetIndexed(false)
-		s.Back.L2.SetIndexed(false)
-	}
-	if os.Getenv("MALEC_EAGER_ENERGY") != "" {
-		s.MeterV.SetEager(true)
-	}
 	if cfg.Bypass {
 		s.detector = cache.NewStreamDetector(256)
 	}
@@ -166,9 +151,6 @@ func NewSystem(cfg config.Config) *System {
 			ps = waytable.NewPageSystem(hier)
 		}
 		ps.FeedbackUpdate = cfg.FeedbackUpdate
-		if !indexed {
-			ps.SetIndexed(false)
-		}
 		s.PageD = ps
 		s.Det = ps
 		s.L1.ConstrainWays = cfg.ConstrainWays

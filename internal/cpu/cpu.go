@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
 
 	"malec/internal/buffers"
 	"malec/internal/cache"
@@ -243,26 +242,19 @@ type machine struct {
 	robMask uint64
 	robHead uint64 // ring index of the oldest instruction
 	robLen  int
-	// issueHint is the number of leading ROB entries known to be issued;
-	// the escape-hatch issue scan starts there instead of at the head.
-	// Entries never un-issue, so the prefix only shrinks when retire pops
-	// the head.
-	issueHint int
-	doneAt    [doneWindow]int64
-	seq       uint64
-	cycle     int64
+	doneAt  [doneWindow]int64
+	seq     uint64
+	cycle   int64
 	// depLimit bounds dependency distances: a producer further back would
 	// alias a younger instruction's doneAt slot while the consumer is
 	// still in flight, silently corrupting completion times. Dispatch
 	// panics past it.
 	depLimit uint64
 
-	// wake enables the producer->consumer wakeup scheduler (the default):
-	// a completing producer marks its dependents ready directly, so issue
-	// drains an age-ordered ready set instead of rescanning the ROB every
-	// cycle. The scan path is kept behind Config.DisableWakeup /
-	// MALEC_NO_WAKEUP=1 as the differential reference and debugging aid.
-	wake bool
+	// The producer->consumer wakeup scheduler: a completing producer
+	// marks its dependents ready directly, so issue drains an age-ordered
+	// ready set instead of rescanning the ROB every cycle.
+	//
 	// readyMask holds one bit per ROB slot, set while the slot holds an
 	// unissued instruction with no pending producers; issue walks the set
 	// bits in age order (slots are assigned in sequence order, so slot
@@ -312,10 +304,8 @@ type machine struct {
 	redirectSeq   uint64
 	redirectUntil int64
 
-	// skipDisabled forces the plain cycle-by-cycle loop (escape hatch for
-	// differential testing and debugging); skippedCycles/skipJumps count
-	// the fast-forward activity for Result.Telemetry.
-	skipDisabled  bool
+	// skippedCycles/skipJumps count the fast-forward activity for
+	// Result.Telemetry.
 	skippedCycles uint64
 	skipJumps     uint64
 
@@ -359,12 +349,11 @@ func RunContext(ctx context.Context, cfg config.Config, benchmark string, src So
 }
 
 // RunWithCheckpoints is Run with an optional microarchitectural checkpoint
-// store. When the configuration carries a sampling schedule (and
-// MALEC_NO_SAMPLING is unset, and the source is long enough for at least
-// one interval), the run goes through the sampled fast path and the store
-// is consulted/populated at measurement-window boundaries; otherwise the
-// store is ignored and the run is exact, byte-identical to Run with
-// Sampling == nil.
+// store. When the configuration carries a sampling schedule (and the
+// source is long enough for at least one interval), the run goes through
+// the sampled fast path and the store is consulted/populated at
+// measurement-window boundaries; otherwise the store is ignored and the run
+// is exact, byte-identical to Run with Sampling == nil.
 func RunWithCheckpoints(cfg config.Config, benchmark string, src Source, ck Checkpoints) Result {
 	res, err := RunWithCheckpointsContext(nil, cfg, benchmark, src, ck)
 	if err != nil {
@@ -384,7 +373,7 @@ func RunWithCheckpointsContext(ctx context.Context, cfg config.Config, benchmark
 			return Result{}, err
 		}
 	}
-	if s := cfg.Sampling; s != nil && os.Getenv("MALEC_NO_SAMPLING") == "" {
+	if s := cfg.Sampling; s != nil {
 		if !s.Valid() {
 			panic(fmt.Sprintf("cpu: invalid sampling schedule %+v (need Detail > 0, Warmup >= 0, Warmup+Detail <= Interval)", *s))
 		}
@@ -419,23 +408,18 @@ func newMachine(cfg config.Config, iface core.Interface, src Source) *machine {
 	m := &machine{cfg: cfg, iface: iface, src: src,
 		lq:  buffers.NewLoadQueue(cfg.LQ),
 		rob: make([]instr, robCap), robMask: uint64(robCap - 1),
-		depLimit: uint64(doneWindow - cfg.ROB),
-		skipDisabled: cfg.DisableCycleSkip ||
-			os.Getenv("MALEC_NO_CYCLE_SKIP") != "",
-		wake: !cfg.DisableWakeup && os.Getenv("MALEC_NO_WAKEUP") == ""}
+		depLimit:    uint64(doneWindow - cfg.ROB),
+		readyMask:   make([]uint64, (robCap+63)/64),
+		readyAt:     make([]int64, robCap),
+		pendingDeps: make([]uint8, robCap),
+		wakeHead:    make([]int32, robCap),
+		wakeNext:    make([]int32, 2*robCap),
+		storeSeqs:   make([]uint64, robCap)}
 	for i := range m.doneAt {
 		m.doneAt[i] = 0 // pre-history: always ready
 	}
-	if m.wake {
-		m.readyMask = make([]uint64, (robCap+63)/64)
-		m.readyAt = make([]int64, robCap)
-		m.pendingDeps = make([]uint8, robCap)
-		m.wakeHead = make([]int32, robCap)
-		for i := range m.wakeHead {
-			m.wakeHead[i] = -1
-		}
-		m.wakeNext = make([]int32, 2*robCap)
-		m.storeSeqs = make([]uint64, robCap)
+	for i := range m.wakeHead {
+		m.wakeHead[i] = -1
 	}
 	return m
 }
@@ -497,7 +481,7 @@ func (m *machine) run() {
 				return
 			}
 		}
-		if !progressed && !m.skipDisabled {
+		if !progressed {
 			m.trySkip()
 		}
 	}
@@ -550,15 +534,13 @@ func (m *machine) trySkip() {
 // In-flight loads have unknown completion times and contribute no bound —
 // they are gated on the interface calendar instead.
 //
-// Under the wakeup scheduler the ROB contributes nothing beyond the refill
-// deadline, so no scan is needed at all. Every completion time the core
-// records is at most one cycle ahead when recorded (ops and stores complete
-// at issue+1, loads complete at the current cycle), and nextCoreWork only
-// runs on a stalled cycle — a cycle in which nothing issued or completed —
-// so by then every known done or ready time is <= cycle+1, and trySkip
-// ignores bounds that near. The mispredict refill is the sole multi-cycle
-// core-side deadline. The scan below remains as the escape-hatch reference
-// the differential tests compare against.
+// The ROB contributes nothing beyond the refill deadline, so no scan is
+// needed. Every completion time the core records is at most one cycle ahead
+// when recorded (ops and stores complete at issue+1, loads complete at the
+// current cycle), and nextCoreWork only runs on a stalled cycle — a cycle
+// in which nothing issued or completed — so by then every known done or
+// ready time is <= cycle+1, and trySkip ignores bounds that near. The
+// mispredict refill is the sole multi-cycle core-side deadline.
 func (m *machine) nextCoreWork() int64 {
 	next := core.NoWork
 	if m.redirectSeq != 0 {
@@ -575,38 +557,6 @@ func (m *machine) nextCoreWork() int64 {
 			}
 		}
 	}
-	if m.wake {
-		return next
-	}
-	for i := 0; i < m.robLen; i++ {
-		in := m.robAt(i)
-		if in.issued {
-			if in.done > m.cycle && in.done < unknownDone && in.done < next {
-				next = in.done
-			}
-			continue
-		}
-		// Unissued: becomes ready when its last producer completes.
-		ready := int64(0)
-		unknown := false
-		if d := uint64(in.rec.Dep1); d != 0 && d <= in.seq {
-			if v := m.doneAt[(in.seq-d)%doneWindow]; v >= unknownDone {
-				unknown = true
-			} else if v > ready {
-				ready = v
-			}
-		}
-		if d := uint64(in.rec.Dep2); d != 0 && d <= in.seq {
-			if v := m.doneAt[(in.seq-d)%doneWindow]; v >= unknownDone {
-				unknown = true
-			} else if v > ready {
-				ready = v
-			}
-		}
-		if !unknown && ready > m.cycle && ready < next {
-			next = ready
-		}
-	}
 	return next
 }
 
@@ -615,8 +565,8 @@ func (m *machine) stateDump() string {
 	head := "empty"
 	if m.robLen > 0 {
 		in := m.robAt(0)
-		head = fmt.Sprintf("seq=%d kind=%v issued=%v done=%d ready=%v",
-			in.seq, in.rec.Kind, in.issued, in.done, m.ready(in))
+		head = fmt.Sprintf("seq=%d kind=%v issued=%v done=%d pendingDeps=%d readyAt=%d",
+			in.seq, in.rec.Kind, in.issued, in.done, m.pendingDeps[m.robHead], m.readyAt[m.robHead])
 	}
 	return fmt.Sprintf(
 		"rob=%d head={%s} lq=%d pendingLoads=%d srcDone=%v idle=%v instrs=%d",
@@ -636,9 +586,7 @@ func (m *machine) complete(seq uint64) {
 				panic("cpu: ROB sequence numbers not contiguous")
 			}
 			in.done = m.cycle
-			if m.wake {
-				m.wakeSlot((seq-1)&m.robMask, m.cycle)
-			}
+			m.wakeSlot((seq-1)&m.robMask, m.cycle)
 		}
 	}
 	m.lq.Release()
@@ -675,27 +623,9 @@ func (m *machine) retire() int {
 		m.robHead = (m.robHead + 1) & m.robMask
 		m.robLen--
 		m.retired++
-		if m.issueHint > 0 {
-			m.issueHint--
-		}
 		n++
 	}
 	return n
-}
-
-// ready reports whether an instruction's producers have completed. It is
-// the hottest leaf of the escape-hatch issue scan, so the two dependency
-// checks are unrolled.
-func (m *machine) ready(in *instr) bool {
-	if d := uint64(in.rec.Dep1); d != 0 && d <= in.seq &&
-		m.doneAt[(in.seq-d)%doneWindow] > m.cycle {
-		return false
-	}
-	if d := uint64(in.rec.Dep2); d != 0 && d <= in.seq &&
-		m.doneAt[(in.seq-d)%doneWindow] > m.cycle {
-		return false
-	}
-	return true
 }
 
 // issue selects up to IssueWidth ready instructions, oldest first. Memory
@@ -703,20 +633,13 @@ func (m *machine) ready(in *instr) bool {
 // computation unit and buffer availability). Stores issue in program order
 // among themselves: store-buffer entries are allocated oldest-first, which
 // (as in real store queues) makes SB-full stalls deadlock-free.
+//
+// Issue walks the ready mask from the ROB head in age order, visiting only
+// instructions whose producers have all completed, so a full-ROB stall
+// costs a few word scans instead of touching every in-flight entry. Its
+// decisions match a full ROB scan exactly (issueScan in scan_test.go,
+// differentially tested).
 func (m *machine) issue() int {
-	if m.wake {
-		return m.issueWake()
-	}
-	return m.issueScan()
-}
-
-// issueWake is the wakeup-scheduler issue path: it walks the ready mask
-// from the ROB head in age order, visiting only instructions whose
-// producers have all completed, so a full-ROB stall costs a few word scans
-// instead of touching every in-flight entry. Decisions — age order, issue
-// width, TryIssue arbitration, store ordering — match issueScan exactly
-// (differentially tested).
-func (m *machine) issueWake() int {
 	issued := 0
 	head := int(m.robHead)
 	if m.issueReadyRange(head, len(m.rob), &issued) {
@@ -795,60 +718,6 @@ func (m *machine) tryIssueSlot(slot uint64) bool {
 	return false
 }
 
-// issueScan is the escape-hatch issue path (Config.DisableWakeup /
-// MALEC_NO_WAKEUP=1): a full scan over the unissued ROB suffix with
-// per-entry readiness checks, kept as the differential reference for the
-// wakeup scheduler.
-func (m *machine) issueScan() int {
-	issued := 0
-	storeBlocked := false
-	for m.issueHint < m.robLen && m.robAt(m.issueHint).issued {
-		m.issueHint++
-	}
-	for i := m.issueHint; i < m.robLen; i++ {
-		if issued >= m.cfg.IssueWidth {
-			return issued
-		}
-		in := m.robAt(i)
-		if in.issued || !m.ready(in) {
-			if !in.issued && in.rec.Kind == trace.Store {
-				storeBlocked = true
-			}
-			continue
-		}
-		switch in.rec.Kind {
-		case trace.Op, trace.Branch:
-			in.issued = true
-			in.done = m.cycle + 1
-			m.doneAt[in.seq%doneWindow] = in.done
-			issued++
-		case trace.Load:
-			if !m.iface.TryIssue(core.Request{Seq: in.seq, Kind: mem.Load,
-				VA: in.rec.Addr, Size: in.rec.Size}) {
-				continue
-			}
-			in.issued = true
-			in.done = unknownDone
-			m.doneAt[in.seq%doneWindow] = unknownDone
-			issued++
-		case trace.Store:
-			if storeBlocked {
-				continue // an older store has not issued yet
-			}
-			if !m.iface.TryIssue(core.Request{Seq: in.seq, Kind: mem.Store,
-				VA: in.rec.Addr, Size: in.rec.Size}) {
-				storeBlocked = true
-				continue
-			}
-			in.issued = true
-			in.done = m.cycle + 1
-			m.doneAt[in.seq%doneWindow] = in.done
-			issued++
-		}
-	}
-	return issued
-}
-
 // dispatch fills the ROB from the trace, up to FetchWidth per cycle. Loads
 // require a load queue slot; a mispredicted branch blocks dispatch until it
 // resolves plus the refill penalty.
@@ -902,9 +771,7 @@ func (m *machine) dispatch() {
 		*m.robAt(m.robLen) = instr{rec: rec, seq: m.seq, done: unknownDone}
 		m.robLen++
 		m.doneAt[m.seq%doneWindow] = unknownDone
-		if m.wake {
-			m.enqueueWake(rec)
-		}
+		m.enqueueWake(rec)
 		m.instructions++
 		switch rec.Kind {
 		case trace.Load:

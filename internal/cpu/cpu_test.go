@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -143,45 +141,5 @@ func TestOversizedDepDistanceRejected(t *testing.T) {
 	early[3].Dep1 = doneWindow - 1
 	if res := Run(config.MALEC(), "prehist", &SliceSource{Records: early}); res.Instructions != 50 {
 		t.Fatalf("pre-history dependency run simulated %d instructions, want 50", res.Instructions)
-	}
-}
-
-// TestWakeupMatchesScanOnMicroTraces pins the wakeup scheduler against the
-// scan path on handcrafted corner-case traces: dependency chains, loads,
-// store ordering under a full store buffer, and dual deps on one producer.
-func TestWakeupMatchesScanOnMicroTraces(t *testing.T) {
-	mixed := make([]trace.Record, 0, 4000)
-	for i := 0; i < 1000; i++ {
-		mixed = append(mixed,
-			trace.Record{Kind: trace.Load, Addr: mem.Addr(i*64) % (1 << 18), Size: 8},
-			trace.Record{Kind: trace.Op, Dep1: 1, Dep2: 2},
-			trace.Record{Kind: trace.Store, Addr: mem.Addr(i*8) % (1 << 12), Size: 8, Dep1: 1},
-			// Both deps on one producer (the load 3 back): registers two
-			// wakeup nodes on the same list and decrements pendingDeps
-			// twice in one drain.
-			trace.Record{Kind: trace.Op, Dep1: 3, Dep2: 3},
-		)
-	}
-	traces := map[string][]trace.Record{
-		"chain": chain(2000),
-		"mixed": mixed,
-	}
-	for name, recs := range traces {
-		on := config.MALEC()
-		off := config.MALEC()
-		off.DisableWakeup = true
-		a := Run(on, name, &SliceSource{Records: recs})
-		b := Run(off, name, &SliceSource{Records: recs})
-		ja, err := json.Marshal(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jb, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ja, jb) {
-			t.Errorf("%s: wakeup result differs from scan (cycles %d vs %d)", name, a.Cycles, b.Cycles)
-		}
 	}
 }

@@ -198,13 +198,12 @@ const (
 // Meter accumulates per-component dynamic energy during a simulation and
 // converts leakage power into energy at Finish.
 //
-// By default it counts events in dense uint64 counters and prices them once
-// per Finish; SetEager(true) switches to the historical per-event float64
-// accumulation (one multiply-add per event), kept as the differential
-// reference — the two disagree only in floating-point association, bounded
-// at 1e-9 relative error by the energy and root differential tests. The
-// per-way events additionally accumulate their ways argument, so deferred
-// pricing stays exact for any mix of associativities.
+// It counts events in dense uint64 counters and prices them once per
+// Finish. The per-way events additionally accumulate their ways argument,
+// so deferred pricing stays exact for any mix of associativities: it
+// differs from per-event float64 accumulation (the reference in
+// meter_test.go) only in floating-point association, bounded at 1e-9
+// relative error.
 type Meter struct {
 	P     Params
 	ports Ports
@@ -212,10 +211,8 @@ type Meter struct {
 	dynMulL1  float64
 	dynMulTLB float64
 
-	counts   [numEvents]uint64
-	waysSum  [3]uint64 // ways accumulators: conv read, write, miss check
-	eager    bool
-	eagerDyn [numComponents]float64
+	counts  [numEvents]uint64
+	waysSum [3]uint64 // ways accumulators: conv read, write, miss check
 }
 
 // NewMeter returns a meter for the given parameters and port configuration.
@@ -228,12 +225,6 @@ func NewMeter(p Params, ports Ports) *Meter {
 	}
 }
 
-// SetEager selects per-event float accumulation (true) instead of deferred
-// event-count pricing (false, the default). Call before the first event;
-// the MALEC_EAGER_ENERGY=1 environment variable routes here from the
-// simulator for differential testing.
-func (m *Meter) SetEager(on bool) { m.eager = on }
-
 // waysSum indices.
 const (
 	waysConvRead = iota
@@ -245,42 +236,23 @@ const (
 
 // L1ConventionalRead charges a parallel all-ways load lookup.
 func (m *Meter) L1ConventionalRead(ways int) {
-	if m.eager {
-		m.eagerDyn[L1] += m.dynMulL1 * (m.P.L1Control + m.P.L1TagFixed +
-			float64(ways)*m.P.L1TagPerWay + m.P.L1DataFixed +
-			float64(ways)*m.P.L1DataPerWay)
-		return
-	}
 	m.counts[evL1ConvRead]++
 	m.waysSum[waysConvRead] += uint64(ways)
 }
 
 // L1ReducedRead charges a tag-bypassing single-data-way load.
 func (m *Meter) L1ReducedRead() {
-	if m.eager {
-		m.eagerDyn[L1] += m.dynMulL1 * (m.P.L1Control + m.P.L1DataFixed + m.P.L1DataPerWay)
-		return
-	}
 	m.counts[evL1ReducedRead]++
 }
 
 // L1Write charges a store: a tag check across ways plus one data-way write.
 func (m *Meter) L1Write(ways int) {
-	if m.eager {
-		m.eagerDyn[L1] += m.dynMulL1 * (m.P.L1Control + m.P.L1TagFixed +
-			float64(ways)*m.P.L1TagPerWay + m.P.L1DataFixed + m.P.L1DataPerWay)
-		return
-	}
 	m.counts[evL1Write]++
 	m.waysSum[waysWrite] += uint64(ways)
 }
 
 // L1ReducedWrite charges a store with a known way (tags bypassed).
 func (m *Meter) L1ReducedWrite() {
-	if m.eager {
-		m.eagerDyn[L1] += m.dynMulL1 * (m.P.L1Control + m.P.L1DataFixed + m.P.L1DataPerWay)
-		return
-	}
 	m.counts[evL1ReducedWrite]++
 }
 
@@ -288,31 +260,17 @@ func (m *Meter) L1ReducedWrite() {
 // (the parallel data readout of a conventional access is already charged by
 // the read event; misses detected by tag compare).
 func (m *Meter) L1MissCheck(ways int) {
-	if m.eager {
-		m.eagerDyn[L1] += m.dynMulL1 * (m.P.L1Control + m.P.L1TagFixed +
-			float64(ways)*m.P.L1TagPerWay)
-		return
-	}
 	m.counts[evL1MissCheck]++
 	m.waysSum[waysMissCheck] += uint64(ways)
 }
 
 // L1Fill charges a line fill (tag write + full-line data write).
 func (m *Meter) L1Fill() {
-	if m.eager {
-		m.eagerDyn[L1] += m.dynMulL1 * (m.P.L1Control + m.P.L1TagFixed + m.P.L1TagPerWay +
-			m.P.L1DataFixed + 4*m.P.L1DataPerWay)
-		return
-	}
 	m.counts[evL1Fill]++
 }
 
 // L1Eviction charges reading a victim line out for writeback.
 func (m *Meter) L1Eviction() {
-	if m.eager {
-		m.eagerDyn[L1] += m.dynMulL1 * (m.P.L1Control + m.P.L1DataFixed + 2*m.P.L1DataPerWay)
-		return
-	}
 	m.counts[evL1Eviction]++
 }
 
@@ -320,33 +278,16 @@ func (m *Meter) L1Eviction() {
 
 // UTLBLookup charges one micro-TLB search.
 func (m *Meter) UTLBLookup() {
-	if m.eager {
-		m.eagerDyn[UTLB] += m.dynMulTLB * m.P.UTLBLookup
-		return
-	}
 	m.counts[evUTLBLookup]++
 }
 
 // TLBLookup charges one main-TLB search.
 func (m *Meter) TLBLookup() {
-	if m.eager {
-		m.eagerDyn[TLB] += m.dynMulTLB * m.P.TLBLookup
-		return
-	}
 	m.counts[evTLBLookup]++
 }
 
 // ReverseLookups charges the physical-tag searches of a line fill/eviction.
 func (m *Meter) ReverseLookups(utlb, tlb bool) {
-	if m.eager {
-		if utlb {
-			m.eagerDyn[UTLB] += m.dynMulTLB * m.P.UTLBReverse
-		}
-		if tlb {
-			m.eagerDyn[TLB] += m.dynMulTLB * m.P.TLBReverse
-		}
-		return
-	}
 	if utlb {
 		m.counts[evUTLBReverse]++
 	}
@@ -360,47 +301,26 @@ func (m *Meter) ReverseLookups(utlb, tlb bool) {
 // UWTRead charges one uWT entry read (once per arbitration group; the
 // scheme's energy is independent of the number of parallel references).
 func (m *Meter) UWTRead() {
-	if m.eager {
-		m.eagerDyn[UWT] += m.P.UWTRead
-		return
-	}
 	m.counts[evUWTRead]++
 }
 
 // WTRead charges one WT entry read.
 func (m *Meter) WTRead() {
-	if m.eager {
-		m.eagerDyn[WT] += m.P.WTRead
-		return
-	}
 	m.counts[evWTRead]++
 }
 
 // UWTLineUpdate charges a single-line uWT code write.
 func (m *Meter) UWTLineUpdate() {
-	if m.eager {
-		m.eagerDyn[UWT] += m.P.UWTLineUpdate
-		return
-	}
 	m.counts[evUWTLineUpdate]++
 }
 
 // WTLineUpdate charges a single-line WT code write.
 func (m *Meter) WTLineUpdate() {
-	if m.eager {
-		m.eagerDyn[WT] += m.P.WTLineUpdate
-		return
-	}
 	m.counts[evWTLineUpdate]++
 }
 
 // EntryTransfer charges a full uWT<->WT entry move.
 func (m *Meter) EntryTransfer() {
-	if m.eager {
-		m.eagerDyn[UWT] += m.P.EntryTransfer / 2
-		m.eagerDyn[WT] += m.P.EntryTransfer / 2
-		return
-	}
 	m.counts[evEntryTransfer]++
 }
 
@@ -408,19 +328,11 @@ func (m *Meter) EntryTransfer() {
 
 // WDULookup charges one associative WDU port search.
 func (m *Meter) WDULookup() {
-	if m.eager {
-		m.eagerDyn[WDU] += m.P.WDULookupBase + m.P.WDULookupPerEntry*float64(m.ports.WDUEntries)
-		return
-	}
 	m.counts[evWDULookup]++
 }
 
 // WDUUpdate charges one WDU insert/refresh.
 func (m *Meter) WDUUpdate() {
-	if m.eager {
-		m.eagerDyn[WDU] += m.P.WDUUpdate
-		return
-	}
 	m.counts[evWDUUpdate]++
 }
 
@@ -429,9 +341,6 @@ func (m *Meter) WDUUpdate() {
 // energy is affine in ways, so the sum over events equals fixed*count +
 // perWay*waysSum up to float association).
 func (m *Meter) dynamic() [numComponents]float64 {
-	if m.eager {
-		return m.eagerDyn
-	}
 	n := func(e event) float64 { return float64(m.counts[e]) }
 	var d [numComponents]float64
 	d[L1] = m.dynMulL1 * (n(evL1ConvRead)*(m.P.L1Control+m.P.L1TagFixed+m.P.L1DataFixed) +

@@ -520,16 +520,20 @@ func (r *CampaignRun) run(ctx context.Context) {
 		r.jr.close() //nolint:errcheck // best-effort
 		return
 	}
-	r.state = CampaignDone
 	mark := doneMarker{
 		State:     CampaignDone,
 		Completed: r.completed,
 		Failed:    r.failed,
 		Finished:  time.Now().UTC(),
 	}
+	r.mu.Unlock()
+	// Mark completion durably before publishing it, so a client that sees
+	// "done" never restarts into a campaign that replays as resumed.
+	r.jr.finish(mark) //nolint:errcheck // best-effort: an unmarked done campaign replays as resumed and finds every point cached
+	r.mu.Lock()
+	r.state = CampaignDone
 	r.notify()
 	r.mu.Unlock()
-	r.jr.finish(mark) //nolint:errcheck // best-effort: an unmarked done campaign replays as resumed and finds every point cached
 }
 
 // record captures one terminal outcome: assign the next cursor, journal

@@ -325,6 +325,9 @@ func TestCampaignSurvivesJournalFaults(t *testing.T) {
 	if st := waitCampaign(t, run); st.State != CampaignDone {
 		t.Fatalf("faulted campaign state %s, want done (journal faults must not fail points)", st.State)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "campaigns", run.ID(), doneName)); err != nil {
+		t.Fatalf("campaign reported done before its completion marker was written: %v", err)
+	}
 	if faultinject.JournalWrite.Fires()+faultinject.JournalTorn.Fires() == 0 {
 		t.Fatal("failpoints armed but never fired; test exercised nothing")
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,15 +46,81 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-func TestKeyIgnoresHostSimulatorToggles(t *testing.T) {
-	// DisableCycleSkip changes how the simulator executes, never what it
-	// computes (differentially tested at the root), so skip-on and
-	// skip-off runs must content-address to the same cache entry.
-	on := config.MALEC()
-	off := config.MALEC()
-	off.DisableCycleSkip = true
-	if KeyFor(on, "gzip", 1000, 1) != KeyFor(off, "gzip", 1000, 1) {
-		t.Fatalf("host-simulator toggle changed the content digest")
+// TestConfigDigestPinned pins the content digest of every registry preset,
+// so any change to config.Config's encoding or to the digest derivation —
+// which would turn every stored result into a cache miss — fails loudly
+// and must be made on purpose. The literals were recorded before the
+// retired host-simulator toggles left config.Config.
+func TestConfigDigestPinned(t *testing.T) {
+	want := map[string]string{
+		"Base1ldst":           "83622cef8661cb23",
+		"Base2ld1st":          "83622cef5e6fe8e7",
+		"Base2ld1st_1cycleL1": "83622cef9ce61d11",
+		"MALEC":               "da8a674afe09ec76",
+		"MALEC_3cycleL1":      "da8a674ad8419b17",
+		"MALEC_WDU16":         "10a4a4dc790f2060",
+		"MALEC_WDU32":         "021464b6a6055991",
+		"MALEC_WDU8":          "1b563a363774528c",
+		"MALEC_bypass":        "76b3585193c30718",
+		"MALEC_noFeedback":    "c41bcbee26df9e14",
+		"MALEC_noMerge":       "da8a674a516df6cb",
+		"MALEC_noWT":          "8d324afd098c2c8e",
+		"MALEC_segWT":         "a1f97ed70ceb1c8b",
+	}
+	names := config.Names()
+	if len(names) != len(want) {
+		t.Errorf("registry has %d presets, %d pinned", len(names), len(want))
+	}
+	for _, name := range names {
+		cfg, _ := config.Named(name)
+		if got := ConfigDigest(cfg); got != want[name] {
+			t.Errorf("ConfigDigest(%s) = %s, pinned %s", name, got, want[name])
+		}
+	}
+}
+
+// TestResultIgnoresEnvironment pins that a stored result is a pure function
+// of its content key: no process environment changes the bytes RunContext
+// returns, for an exact and a sampled key alike. Each variable listed once
+// selected an alternative simulator path; setting it must change nothing.
+func TestResultIgnoresEnvironment(t *testing.T) {
+	vars := []string{"MALEC_NO_CYCLE_SKIP", "MALEC_NO_WAKEUP", "MALEC_NO_MEM_INDEX",
+		"MALEC_NO_SAMPLING", "MALEC_EAGER_ENERGY"}
+	sampled := config.MALEC()
+	sampled.Sampling = &config.Sampling{Warmup: 200, Detail: 800, Interval: 20000}
+	points := []struct {
+		cfg          config.Config
+		instructions int
+	}{{config.MALEC(), 20000}, {sampled, 40000}}
+	run := func() [][]byte {
+		e := New(Options{Workers: 1})
+		var out [][]byte
+		for _, p := range points {
+			res, _, err := e.RunContext(context.Background(), p.cfg, "gzip", p.instructions, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, data)
+		}
+		return out
+	}
+	for _, v := range vars {
+		t.Setenv(v, "")
+	}
+	want := run()
+	for _, v := range vars {
+		t.Setenv(v, "1")
+		for i, got := range run() {
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("%s=1 changed the result of %s (sampled=%v)",
+					v, KeyFor(points[i].cfg, "gzip", points[i].instructions, 1), points[i].cfg.Sampling != nil)
+			}
+		}
+		t.Setenv(v, "")
 	}
 }
 

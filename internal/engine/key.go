@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,31 +39,36 @@ func KeyFor(cfg config.Config, benchmark string, instructions int, seed uint64) 
 // characters: the memory-side half (MemSideDigest) followed by a digest of
 // the complete configuration. Every field of config.Config is exported, so
 // the JSON encoding covers the complete machine description in fixed
-// struct order. Host-simulator toggles that never change simulated results
-// are normalized out first, so e.g. skip-on and skip-off runs of the same
-// machine share one cache entry.
+// struct order.
 //
 // The split layout makes the memory-side identity visible in the key: two
 // configurations that differ only core-side (widths, latencies, buffer
 // depths, sampling schedule) share their first 8 characters — and with
 // them the warmed-checkpoint store, which is keyed by MemSideDigest alone.
 func ConfigDigest(cfg config.Config) string {
-	// Cycle skipping, the wakeup scheduler and the memory-side indexes are
-	// semantically invisible (differentially tested); they must not split
-	// the content address. Sampling is NOT normalized out: sampled results
-	// are estimates, never interchangeable with exact ones.
-	cfg.DisableCycleSkip = false
-	cfg.DisableWakeup = false
-	cfg.DisableMemIndex = false
+	// Sampling is part of the encoding: sampled results are estimates,
+	// never interchangeable with exact ones.
 	enc, err := json.Marshal(cfg)
 	if err != nil {
 		// config.Config contains only plain scalar fields; Marshal
 		// cannot fail on it.
 		panic("engine: config not serializable: " + err.Error())
 	}
+	// Quotes inside string values are escaped, so the unescaped key
+	// sequence occurs exactly once.
+	enc = bytes.Replace(enc, []byte(bypassKey), []byte(retiredTogglesBypassKey), 1)
 	sum := sha256.Sum256(enc)
 	return MemSideDigest(cfg) + hex.EncodeToString(sum[:4])
 }
+
+// config.Config once carried three host-simulator toggles between MSHRs
+// and Bypass, always digested as false. ConfigDigest splices them back in
+// so every content address — and with it stored results, campaign exports
+// and the keys peers compare — stays what it was while they existed.
+const (
+	bypassKey               = `,"Bypass":`
+	retiredTogglesBypassKey = `,"DisableCycleSkip":false,"DisableWakeup":false,"DisableMemIndex":false,"Bypass":`
+)
 
 // memSideIdentity is the subset of config.Config that determines the
 // functional-warming trajectory and therefore the contents of a warmed

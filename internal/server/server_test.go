@@ -519,7 +519,6 @@ func TestCheckpointStatsShapeRegression(t *testing.T) {
 // sampled simulator, return the estimate metadata, cache under a key
 // distinct from the exact run, and reject malformed schedules.
 func TestRunSamplingTier(t *testing.T) {
-	t.Setenv("MALEC_NO_SAMPLING", "")
 	ts, _ := newTestServer(t, nil, Options{})
 
 	exactBody := `{"config": "MALEC", "benchmark": "gzip", "instructions": 40000, "seed": 2}`

@@ -7,126 +7,99 @@ import (
 	"malec/internal/rng"
 )
 
-// hookEvent records one OnEvict/OnInsert callback for order comparison.
-type hookEvent struct {
-	kind string
-	idx  int
-	e    Entry
+// scanV is the reference forward lookup: the lowest valid entry index
+// holding virtual page v, or -1, by a linear scan of the entry array.
+func scanV(t *TLB, v mem.PageID) int {
+	for i, e := range t.entries {
+		if e.Valid && e.VPage == v {
+			return i
+		}
+	}
+	return -1
 }
 
-// recordHooks attaches recording hooks to a TLB and returns the log.
-func recordHooks(t *TLB) *[]hookEvent {
-	log := &[]hookEvent{}
-	t.OnEvict = func(idx int, old Entry) {
-		*log = append(*log, hookEvent{"evict", idx, old})
+// scanP is scanV for physical pages.
+func scanP(t *TLB, p mem.PageID) int {
+	for i, e := range t.entries {
+		if e.Valid && e.PPage == p {
+			return i
+		}
 	}
-	t.OnInsert = func(idx int, e Entry) {
-		*log = append(*log, hookEvent{"insert", idx, e})
-	}
-	return log
+	return -1
 }
 
-// TestIndexedMatchesScanRandomized drives an indexed TLB and a scan TLB
-// through the identical randomized insert/lookup/reverse-lookup/invalidate
-// workload and demands bit-identical behaviour: every return value, the
-// full Stats, the final entry array, and the exact order and payload of
-// every OnEvict/OnInsert hook. The page space is kept small so evictions,
-// reinserts and duplicate physical pages (legal through the public API)
-// all occur.
+// scanFree is the reference fill choice: the lowest invalid entry index, or
+// -1 when every entry is valid.
+func scanFree(t *TLB) int {
+	for i, e := range t.entries {
+		if !e.Valid {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkIndexesMatchScan requires every index answer of t to equal the scan
+// answer on the same instance, for every page of the space.
+func checkIndexesMatchScan(t *testing.T, tl *TLB, op, pageSpace int) {
+	t.Helper()
+	for pg := mem.PageID(0); pg < mem.PageID(pageSpace); pg++ {
+		if got, want := tl.findV(pg), scanV(tl, pg); got != want {
+			t.Fatalf("op %d: findV(%d) = %d, scan says %d", op, pg, got, want)
+		}
+		if got, want := tl.findP(pg), scanP(tl, pg); got != want {
+			t.Fatalf("op %d: findP(%d) = %d, scan says %d", op, pg, got, want)
+		}
+	}
+	if got, want := tl.firstFree(), scanFree(tl); got != want {
+		t.Fatalf("op %d: firstFree = %d, scan says %d", op, got, want)
+	}
+}
+
+// TestIndexedMatchesScanRandomized drives a TLB through a randomized
+// insert/lookup/reverse-lookup/invalidate workload and, after every
+// operation, checks the VPage/PPage chain indexes and the free mask against
+// linear scans of the same entry array. The page space is kept small so
+// evictions, reinserts and duplicate physical pages (legal through the
+// public API) all occur.
 func TestIndexedMatchesScanRandomized(t *testing.T) {
 	for _, policy := range []string{"lru", "fifo", "second-chance", "random"} {
 		t.Run(policy, func(t *testing.T) {
 			const size = 8
 			const pageSpace = 24
 			const ops = 20000
-			idxTLB := New("idx", size, NewPolicy(policy, size, rng.New(7)))
-			scanTLB := New("scan", size, NewPolicy(policy, size, rng.New(7)))
-			scanTLB.SetIndexed(false)
-			idxLog := recordHooks(idxTLB)
-			scanLog := recordHooks(scanTLB)
+			tl := New("idx", size, NewPolicy(policy, size, rng.New(7)))
 			drv := rng.New(99)
 			for op := 0; op < ops; op++ {
 				v := mem.PageID(drv.Intn(pageSpace))
 				p := mem.PageID(drv.Intn(pageSpace)) // duplicates PPages on purpose
 				switch drv.Intn(6) {
 				case 0, 1:
-					i1, e1, h1 := idxTLB.Lookup(v)
-					i2, e2, h2 := scanTLB.Lookup(v)
-					if i1 != i2 || e1 != e2 || h1 != h2 {
-						t.Fatalf("op %d: Lookup(%d) diverged: (%d,%+v,%v) vs (%d,%+v,%v)",
-							op, v, i1, e1, h1, i2, e2, h2)
+					want := scanV(tl, v)
+					if i, _, hit := tl.Lookup(v); i != want || hit != (want >= 0) {
+						t.Fatalf("op %d: Lookup(%d) = (%d,%v), scan says %d", op, v, i, hit, want)
 					}
 				case 2:
-					if idxTLB.Insert(v, p) != scanTLB.Insert(v, p) {
-						t.Fatalf("op %d: Insert(%d,%d) chose different slots", op, v, p)
+					want := scanFree(tl)
+					if i := tl.Insert(v, p); want >= 0 && i != want {
+						t.Fatalf("op %d: Insert(%d,%d) filled %d, scan says %d", op, v, p, i, want)
 					}
 				case 3:
-					i1, e1, h1 := idxTLB.ReverseLookup(p)
-					i2, e2, h2 := scanTLB.ReverseLookup(p)
-					if i1 != i2 || e1 != e2 || h1 != h2 {
-						t.Fatalf("op %d: ReverseLookup(%d) diverged: (%d,%+v,%v) vs (%d,%+v,%v)",
-							op, p, i1, e1, h1, i2, e2, h2)
+					want := scanP(tl, p)
+					if i, _, hit := tl.ReverseLookup(p); i != want || hit != (want >= 0) {
+						t.Fatalf("op %d: ReverseLookup(%d) = (%d,%v), scan says %d", op, p, i, hit, want)
 					}
 				case 4:
-					i1, e1, h1 := idxTLB.Probe(v)
-					i2, e2, h2 := scanTLB.Probe(v)
-					if i1 != i2 || e1 != e2 || h1 != h2 {
-						t.Fatalf("op %d: Probe(%d) diverged", op, v)
+					want := scanV(tl, v)
+					if i, _, hit := tl.Probe(v); i != want || hit != (want >= 0) {
+						t.Fatalf("op %d: Probe(%d) = (%d,%v), scan says %d", op, v, i, hit, want)
 					}
 				case 5:
-					idxTLB.Invalidate(v)
-					scanTLB.Invalidate(v)
+					tl.Invalidate(v)
 				}
-			}
-			if idxTLB.Stats() != scanTLB.Stats() {
-				t.Fatalf("stats diverged: %+v vs %+v", idxTLB.Stats(), scanTLB.Stats())
-			}
-			for i := 0; i < size; i++ {
-				if idxTLB.Entry(i) != scanTLB.Entry(i) {
-					t.Fatalf("entry %d diverged: %+v vs %+v", i, idxTLB.Entry(i), scanTLB.Entry(i))
-				}
-			}
-			if len(*idxLog) != len(*scanLog) {
-				t.Fatalf("hook counts diverged: %d vs %d", len(*idxLog), len(*scanLog))
-			}
-			for i := range *idxLog {
-				if (*idxLog)[i] != (*scanLog)[i] {
-					t.Fatalf("hook %d diverged: %+v vs %+v", i, (*idxLog)[i], (*scanLog)[i])
-				}
+				checkIndexesMatchScan(t, tl, op, pageSpace)
 			}
 		})
-	}
-}
-
-// TestIndexToggleMidstream flips a TLB between indexed and scan modes
-// mid-workload: the indexes are maintained unconditionally, so toggling
-// must never desynchronize lookups from the entry array.
-func TestIndexToggleMidstream(t *testing.T) {
-	const size = 8
-	tl := New("t", size, NewPolicy("lru", size, rng.New(3)))
-	ref := New("r", size, NewPolicy("lru", size, rng.New(3)))
-	ref.SetIndexed(false)
-	drv := rng.New(5)
-	for op := 0; op < 5000; op++ {
-		if op%97 == 0 {
-			tl.SetIndexed(op%194 == 0)
-		}
-		v := mem.PageID(drv.Intn(20))
-		p := mem.PageID(drv.Intn(20))
-		switch drv.Intn(3) {
-		case 0:
-			i1, _, h1 := tl.Lookup(v)
-			i2, _, h2 := ref.Lookup(v)
-			if i1 != i2 || h1 != h2 {
-				t.Fatalf("op %d: lookup diverged after toggles", op)
-			}
-		case 1:
-			tl.Insert(v, p)
-			ref.Insert(v, p)
-		case 2:
-			tl.Invalidate(v)
-			ref.Invalidate(v)
-		}
 	}
 }
 
@@ -159,52 +132,35 @@ func TestPageTableFlatStorageMatchesReference(t *testing.T) {
 }
 
 // BenchmarkTLBLookup measures forward lookups at a paper-sized 64-entry
-// TLB, indexed vs scan (the config.DisableMemIndex reference), on a
-// resident working set (hits, the hot-path common case).
+// TLB on a resident working set (hits, the hot-path common case).
 func BenchmarkTLBLookup(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		indexed bool
-	}{{"indexed", true}, {"scan", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			const size = 64
-			tl := New("t", size, NewPolicy("random", size, rng.New(1)))
-			tl.SetIndexed(mode.indexed)
-			for v := mem.PageID(0); v < size; v++ {
-				tl.Insert(v, 1000+v)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, hit := tl.Lookup(mem.PageID(i % size)); !hit {
-					b.Fatal("resident page missed")
-				}
-			}
-		})
+	const size = 64
+	tl := New("t", size, NewPolicy("random", size, rng.New(1)))
+	for v := mem.PageID(0); v < size; v++ {
+		tl.Insert(v, 1000+v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, hit := tl.Lookup(mem.PageID(i % size)); !hit {
+			b.Fatal("resident page missed")
+		}
 	}
 }
 
 // BenchmarkTLBReverseLookup measures the physical-tag lookups the
 // way-table maintenance path performs on every L1 fill/eviction.
 func BenchmarkTLBReverseLookup(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		indexed bool
-	}{{"indexed", true}, {"scan", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			const size = 64
-			tl := New("t", size, NewPolicy("random", size, rng.New(1)))
-			tl.SetIndexed(mode.indexed)
-			for v := mem.PageID(0); v < size; v++ {
-				tl.Insert(v, 1000+v)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, hit := tl.ReverseLookup(mem.PageID(1000 + i%size)); !hit {
-					b.Fatal("resident page missed")
-				}
-			}
-		})
+	const size = 64
+	tl := New("t", size, NewPolicy("random", size, rng.New(1)))
+	for v := mem.PageID(0); v < size; v++ {
+		tl.Insert(v, 1000+v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, hit := tl.ReverseLookup(mem.PageID(1000 + i%size)); !hit {
+			b.Fatal("resident page missed")
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package waytable
 
 import (
+	"math/bits"
 	"testing"
 
 	"malec/internal/mem"
@@ -8,233 +9,198 @@ import (
 	"malec/internal/tlb"
 )
 
-// driveStores runs the identical randomized slot/line workload against an
-// indexed store and a scan-configured reference, comparing every return
-// value. The page space is small enough that slots are recycled and (via
-// direct Reset calls) duplicate pages occur, and for segmented tables the
-// pool is undersized so FIFO chunk replacement engages.
-func driveStores(t *testing.T, indexed, scan Store, slots int) {
+// scanSlotFor is the reference SlotFor: the lowest valid slot describing
+// page p, or -1, by a linear scan of the store's slots.
+func scanSlotFor(st Store, p mem.PageID) int {
+	for i := 0; i < st.Size(); i++ {
+		if page, valid := st.PageAt(i); valid && page == p {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkSlotForMatchesScan requires SlotFor to equal the scan for every page
+// of the space.
+func checkSlotForMatchesScan(t *testing.T, st Store, op, pageSpace int) {
+	t.Helper()
+	for p := mem.PageID(0); p < mem.PageID(pageSpace); p++ {
+		if got, want := st.SlotFor(p), scanSlotFor(st, p); got != want {
+			t.Fatalf("op %d: SlotFor(%d) = %d, scan says %d", op, p, got, want)
+		}
+	}
+}
+
+// checkChunksMatchScan requires the segmented table's direct-mapped chunk
+// association and free bitmap to agree with scans of the chunk pool: every
+// (slot, part) maps to the chunk whose owner tag names it, and the lowest
+// free bit is the first chunk the pool scan finds unowned.
+func checkChunksMatchScan(t *testing.T, st *SegmentedTable, op int) {
+	t.Helper()
+	for idx := range st.slots {
+		for part := 0; part < st.partsPerPage; part++ {
+			want := -1
+			for c, ch := range st.pool {
+				if ch.owner == int32(idx) && ch.part == uint32(part) {
+					want = c
+					break
+				}
+			}
+			if got := st.chunkFor(idx, uint32(part)); got != want {
+				t.Fatalf("op %d: chunkFor(%d,%d) = %d, pool scan says %d", op, idx, part, got, want)
+			}
+		}
+	}
+	wantFree, free := -1, 0
+	for c, ch := range st.pool {
+		if ch.owner < 0 {
+			if wantFree < 0 {
+				wantFree = c
+			}
+			free++
+		}
+	}
+	gotFree := -1
+	for w, word := range st.freeMask {
+		if word != 0 {
+			gotFree = w<<6 + bits.TrailingZeros64(word)
+			break
+		}
+	}
+	if gotFree != wantFree || st.freeCount != free {
+		t.Fatalf("op %d: free bitmap says first=%d count=%d, pool scan says first=%d count=%d",
+			op, gotFree, st.freeCount, wantFree, free)
+	}
+}
+
+// driveStore runs a randomized slot/line workload against st and, after
+// every operation, checks the indexed lookups against scans of the same
+// instance (check adds structure-specific scans). The page space is small
+// enough that slots are recycled and (via direct Reset calls) duplicate
+// pages occur, and for segmented tables the pool is undersized so FIFO
+// chunk replacement engages.
+func driveStore(t *testing.T, st Store, check func(op int)) {
 	t.Helper()
 	const pageSpace = 16
 	const ops = 30000
+	slots := st.Size()
 	drv := rng.New(42)
 	for op := 0; op < ops; op++ {
 		idx := drv.Intn(slots)
 		page := mem.PageID(drv.Intn(pageSpace))
 		line := uint32(drv.Intn(mem.LinesPerPage))
 		way := drv.Intn(mem.L1Ways)
-		switch drv.Intn(8) {
+		switch drv.Intn(6) {
 		case 0:
-			indexed.Reset(idx, page)
-			scan.Reset(idx, page)
+			st.Reset(idx, page)
 		case 1:
-			indexed.InvalidateSlot(idx)
-			scan.InvalidateSlot(idx)
+			st.InvalidateSlot(idx)
 		case 2:
-			indexed.SetLine(idx, line, way)
-			scan.SetLine(idx, line, way)
+			st.SetLine(idx, line, way)
 		case 3:
-			indexed.InvalidateLine(idx, line)
-			scan.InvalidateLine(idx, line)
+			st.InvalidateLine(idx, line)
 		case 4:
-			if s1, s2 := indexed.SlotFor(page), scan.SlotFor(page); s1 != s2 {
-				t.Fatalf("op %d: SlotFor(%d) diverged: %d vs %d", op, page, s1, s2)
-			}
+			st.Read(idx, line)
 		case 5:
-			w1, k1 := indexed.Read(idx, line)
-			w2, k2 := scan.Read(idx, line)
-			if w1 != w2 || k1 != k2 {
-				t.Fatalf("op %d: Read(%d,%d) diverged: (%d,%v) vs (%d,%v)",
-					op, idx, line, w1, k1, w2, k2)
-			}
-		case 6:
-			p1, v1 := indexed.PageAt(idx)
-			p2, v2 := scan.PageAt(idx)
-			if p1 != p2 || v1 != v2 {
-				t.Fatalf("op %d: PageAt(%d) diverged", op, idx)
-			}
-		case 7:
-			dst := drv.Intn(slots)
-			indexed.CopyFrom(dst, indexed, idx)
-			scan.CopyFrom(dst, scan, idx)
+			st.CopyFrom(drv.Intn(slots), st, idx)
 		}
-	}
-	// Final sweep: every page's SlotFor and every slot's full line state.
-	for page := mem.PageID(0); page < pageSpace; page++ {
-		if s1, s2 := indexed.SlotFor(page), scan.SlotFor(page); s1 != s2 {
-			t.Fatalf("final SlotFor(%d): %d vs %d", page, s1, s2)
-		}
-	}
-	for idx := 0; idx < slots; idx++ {
-		for line := uint32(0); line < mem.LinesPerPage; line++ {
-			w1, k1 := indexed.Peek(idx, line)
-			w2, k2 := scan.Peek(idx, line)
-			if w1 != w2 || k1 != k2 {
-				t.Fatalf("final Peek(%d,%d): (%d,%v) vs (%d,%v)", idx, line, w1, k1, w2, k2)
-			}
+		checkSlotForMatchesScan(t, st, op, pageSpace)
+		if check != nil {
+			check(op)
 		}
 	}
 }
 
 // TestTableIndexedMatchesScanRandomized cross-checks the full Table's
-// indexed SlotFor against the scan reference over a randomized workload.
+// indexed SlotFor against the slot scan over a randomized workload.
 func TestTableIndexedMatchesScanRandomized(t *testing.T) {
-	const slots = 8
-	indexed := NewTable("idx", slots)
-	scan := NewTable("scan", slots)
-	scan.SetIndexed(false)
-	driveStores(t, indexed, scan, slots)
-	if indexed.Stats() != scan.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", indexed.Stats(), scan.Stats())
-	}
+	driveStore(t, NewTable("idx", 8), nil)
 }
 
 // TestSegmentedIndexedMatchesScanRandomized cross-checks the segmented
-// table (indexed SlotFor, direct-mapped chunk association, packed codes,
-// bitmap free list) against a scan-configured instance under pool pressure
+// table (indexed SlotFor, direct-mapped chunk association, bitmap free
+// list) against scans of its slots and chunk pool under pool pressure
 // (pool half the full-table chunk demand, so FIFO replacement runs).
 func TestSegmentedIndexedMatchesScanRandomized(t *testing.T) {
 	const slots, chunkLines = 8, 16
 	pool := slots * (mem.LinesPerPage / chunkLines) / 2
-	indexed := NewSegmentedTable("idx", slots, chunkLines, pool)
-	scan := NewSegmentedTable("scan", slots, chunkLines, pool)
-	scan.SetIndexed(false)
-	driveStores(t, indexed, scan, slots)
-	if indexed.Stats() != scan.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", indexed.Stats(), scan.Stats())
-	}
+	st := NewSegmentedTable("idx", slots, chunkLines, pool)
+	driveStore(t, st, func(op int) { checkChunksMatchScan(t, st, op) })
 }
 
-// chainTLBHooks wraps a TLB's already-installed OnEvict/OnInsert hooks
-// (the PageSystem's synchronization callbacks) with recorders, preserving
-// the original behaviour.
-func chainTLBHooks(name string, t *tlb.TLB, log *[]hookRec) {
-	evict, insert := t.OnEvict, t.OnInsert
-	t.OnEvict = func(idx int, old tlb.Entry) {
-		*log = append(*log, hookRec{name, "evict", idx, old})
-		if evict != nil {
-			evict(idx, old)
+// scanTLB is the reference forward TLB lookup: the lowest valid entry
+// holding virtual page v, or -1.
+func scanTLB(tl *tlb.TLB, v mem.PageID) int {
+	for i := 0; i < tl.Size(); i++ {
+		if e := tl.Entry(i); e.Valid && e.VPage == v {
+			return i
 		}
 	}
-	t.OnInsert = func(idx int, e tlb.Entry) {
-		*log = append(*log, hookRec{name, "insert", idx, e})
-		if insert != nil {
-			insert(idx, e)
-		}
-	}
+	return -1
 }
 
-type hookRec struct {
-	tlb  string
-	kind string
-	idx  int
-	e    tlb.Entry
-}
-
-// TestPageSystemHookOrderIndexedVsScan builds two complete
-// hierarchy+page-system stacks — one indexed, one scan — and drives
-// identical translate/fill/evict/feedback traffic, recording the order of
-// every TLB OnEvict/OnInsert hook (through which all WT/uWT
-// synchronization flows). The sequences must be identical, and so must
-// every way-determination lookup.
-func TestPageSystemHookOrderIndexedVsScan(t *testing.T) {
-	type stack struct {
-		sys   *PageSystem
-		hier  *tlb.Hierarchy
-		hooks *[]hookRec
-	}
-	build := func(indexed bool) stack {
-		u := tlb.New("uTLB", 4, tlb.NewPolicy("second-chance", 4, rng.New(1)))
-		m := tlb.New("TLB", 16, tlb.NewPolicy("random", 16, rng.New(2)))
-		h := &tlb.Hierarchy{U: u, Main: m, PT: tlb.NewPageTable()}
-		sys := NewPageSystem(h)
-		if !indexed {
-			u.SetIndexed(false)
-			m.SetIndexed(false)
-			sys.SetIndexed(false)
-		}
-		log := &[]hookRec{}
-		chainTLBHooks("u", u, log)
-		chainTLBHooks("m", m, log)
-		return stack{sys: sys, hier: h, hooks: log}
-	}
-	a := build(true)
-	b := build(false)
+// TestPageSystemIndexesMatchScan builds a complete hierarchy+page-system
+// stack and drives translate/fill/evict/feedback traffic through it. After
+// every operation each TLB's forward lookup and each way table's SlotFor —
+// the lookups all WT/uWT synchronization flows through — must equal a scan
+// of the same structure.
+func TestPageSystemIndexesMatchScan(t *testing.T) {
+	const vpages = 64
+	u := tlb.New("uTLB", 4, tlb.NewPolicy("second-chance", 4, rng.New(1)))
+	m := tlb.New("TLB", 16, tlb.NewPolicy("random", 16, rng.New(2)))
+	h := &tlb.Hierarchy{U: u, Main: m, PT: tlb.NewPageTable()}
+	sys := NewPageSystem(h)
 	drv := rng.New(17)
 	for op := 0; op < 20000; op++ {
-		page := mem.PageID(drv.Intn(64))
+		page := mem.PageID(drv.Intn(vpages))
 		off := uint32(drv.Intn(mem.PageSize)) &^ 7
-		va := mem.MakeAddr(page, off)
 		switch drv.Intn(4) {
 		case 0, 1:
-			ra := a.hier.Translate(va.Page())
-			rb := b.hier.Translate(va.Page())
-			if ra != rb {
-				t.Fatalf("op %d: Translate diverged: %+v vs %+v", op, ra, rb)
-			}
-			pa := mem.MakeAddr(ra.PPage, off)
-			wa, ka := a.sys.Lookup(pa, ra.UIdx)
-			wb, kb := b.sys.Lookup(pa, rb.UIdx)
-			if wa != wb || ka != kb {
-				t.Fatalf("op %d: way lookup diverged: (%d,%v) vs (%d,%v)", op, wa, ka, wb, kb)
-			}
-			if !ka {
-				way := drv.Intn(mem.L1Ways)
-				a.sys.Feedback(pa, ra.UIdx, way)
-				b.sys.Feedback(pa, rb.UIdx, way)
+			r := h.Translate(page)
+			pa := mem.MakeAddr(r.PPage, off)
+			if _, known := sys.Lookup(pa, r.UIdx); !known {
+				sys.Feedback(pa, r.UIdx, drv.Intn(mem.L1Ways))
 			}
 		case 2:
 			pa := mem.MakeAddr(mem.PageID(drv.Intn(1<<14)), off)
-			way := drv.Intn(mem.L1Ways)
-			a.sys.OnFill(pa.LineAddr(), 0, way)
-			b.sys.OnFill(pa.LineAddr(), 0, way)
+			sys.OnFill(pa.LineAddr(), 0, drv.Intn(mem.L1Ways))
 		case 3:
 			pa := mem.MakeAddr(mem.PageID(drv.Intn(1<<14)), off)
-			a.sys.OnEvict(pa.LineAddr(), 0, 0)
-			b.sys.OnEvict(pa.LineAddr(), 0, 0)
+			sys.OnEvict(pa.LineAddr(), 0, 0)
 		}
-	}
-	if len(*a.hooks) != len(*b.hooks) {
-		t.Fatalf("hook counts diverged: %d vs %d", len(*a.hooks), len(*b.hooks))
-	}
-	for i := range *a.hooks {
-		if (*a.hooks)[i] != (*b.hooks)[i] {
-			t.Fatalf("hook %d diverged: %+v vs %+v", i, (*a.hooks)[i], (*b.hooks)[i])
+		for _, tl := range []*tlb.TLB{u, m} {
+			for v := mem.PageID(0); v < vpages; v++ {
+				if got, _, _ := tl.Probe(v); got != scanTLB(tl, v) {
+					t.Fatalf("op %d: %s Probe(%d) = %d, scan says %d", op, tl.Name, v, got, scanTLB(tl, v))
+				}
+			}
 		}
-	}
-	ka, ta := a.sys.Coverage()
-	kb, tb := b.sys.Coverage()
-	if ka != kb || ta != tb {
-		t.Fatalf("coverage diverged: %d/%d vs %d/%d", ka, ta, kb, tb)
+		for _, st := range []Store{sys.UWT, sys.WT} {
+			for i := 0; i < st.Size(); i++ {
+				if p, valid := st.PageAt(i); valid {
+					if got, want := st.SlotFor(p), scanSlotFor(st, p); got != want {
+						t.Fatalf("op %d: SlotFor(%d) = %d, scan says %d", op, p, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
 // BenchmarkWayTableRead measures the way-table hot path — SlotFor (the
 // reverse-lookup-driven maintenance entry point) followed by an entry
-// read — for the full and segmented tables, indexed vs scan.
+// read — for the full and segmented tables.
 func BenchmarkWayTableRead(b *testing.B) {
 	const slots = 64
-	mk := func(seg bool) Store {
-		if seg {
-			return NewSegmentedTable("seg", slots, 16, slots*4)
-		}
-		return NewTable("full", slots)
-	}
 	for _, bench := range []struct {
-		name    string
-		seg     bool
-		indexed bool
+		name string
+		st   Store
 	}{
-		{"table/indexed", false, true},
-		{"table/scan", false, false},
-		{"segmented/indexed", true, true},
-		{"segmented/scan", true, false},
+		{"table", NewTable("full", slots)},
+		{"segmented", NewSegmentedTable("seg", slots, 16, slots*4)},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			st := mk(bench.seg)
-			if x, ok := st.(interface{ SetIndexed(bool) }); ok {
-				x.SetIndexed(bench.indexed)
-			}
+			st := bench.st
 			for i := 0; i < slots; i++ {
 				st.Reset(i, mem.PageID(100+i))
 				for l := uint32(0); l < mem.LinesPerPage; l += 2 {

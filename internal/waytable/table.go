@@ -14,12 +14,11 @@ type TableStats struct {
 // entries of its companion (u)TLB, plus a record of which physical page
 // each slot currently describes.
 //
-// SlotFor is O(1) by default through a compact page chain index maintained
-// on every slot mutation; the linear scan remains behind SetIndexed(false)
-// as the differential reference (config.DisableMemIndex /
-// MALEC_NO_MEM_INDEX=1). When several valid slots describe the same page
-// (possible through the public API, never through the PageSystem) the
-// lookup returns the lowest slot, matching the scan.
+// SlotFor is O(1) through a compact page chain index maintained on every
+// slot mutation; its answer equals a linear scan over the slots (the
+// reference in index_test.go). When several valid slots describe the same
+// page (possible through the public API, never through the PageSystem) the
+// lookup returns the lowest slot.
 type Table struct {
 	Name    string
 	entries []Entry
@@ -27,27 +26,19 @@ type Table struct {
 	valid   []bool
 	stats   TableStats
 
-	useIndex bool
-	idx      *mem.SlotIndex // page bucket chains over valid slots
+	idx *mem.SlotIndex // page bucket chains over valid slots
 }
 
-// NewTable returns a table with size entries (matching its TLB). The
-// indexed SlotFor path is enabled; SetIndexed(false) reverts to the scan.
+// NewTable returns a table with size entries (matching its TLB).
 func NewTable(name string, size int) *Table {
 	return &Table{
-		Name:     name,
-		entries:  make([]Entry, size),
-		pages:    make([]mem.PageID, size),
-		valid:    make([]bool, size),
-		useIndex: true,
-		idx:      mem.NewSlotIndex(size),
+		Name:    name,
+		entries: make([]Entry, size),
+		pages:   make([]mem.PageID, size),
+		valid:   make([]bool, size),
+		idx:     mem.NewSlotIndex(size),
 	}
 }
-
-// SetIndexed selects between the indexed (default) and scan SlotFor paths.
-// The index is maintained either way, so the toggle may flip at any time;
-// it is host-simulator work only (differentially tested).
-func (t *Table) SetIndexed(on bool) { t.useIndex = on }
 
 // setPage updates slot idx's page/valid state, keeping the chain index in
 // sync. Duplicate pages (possible through the public API, never through
@@ -61,18 +52,6 @@ func (t *Table) setPage(idx int, page mem.PageID, valid bool) {
 	if valid {
 		t.idx.Add(uint32(page), int32(idx))
 	}
-}
-
-// findSlot returns the lowest valid slot describing page, or -1, via the
-// chain index (indexed slots are always valid).
-func (t *Table) findSlot(page mem.PageID) int {
-	best := int32(-1)
-	for i := t.idx.First(uint32(page)); i >= 0; i = t.idx.Next(i) {
-		if t.pages[i] == page && (best < 0 || i < best) {
-			best = i
-		}
-	}
-	return int(best)
 }
 
 // Size returns the number of entries.
@@ -94,17 +73,16 @@ func (t *Table) InvalidateSlot(idx int) {
 	t.setPage(idx, t.pages[idx], false)
 }
 
-// SlotFor returns the slot currently describing physical page p, or -1.
+// SlotFor returns the lowest valid slot describing physical page p, or
+// -1, via the chain index (indexed slots are always valid).
 func (t *Table) SlotFor(p mem.PageID) int {
-	if t.useIndex {
-		return t.findSlot(p)
-	}
-	for i := range t.pages {
-		if t.valid[i] && t.pages[i] == p {
-			return i
+	best := int32(-1)
+	for i := t.idx.First(uint32(p)); i >= 0; i = t.idx.Next(i) {
+		if t.pages[i] == p && (best < 0 || i < best) {
+			best = i
 		}
 	}
-	return -1
+	return int(best)
 }
 
 // PageAt returns the physical page described by slot idx and whether the

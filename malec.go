@@ -150,8 +150,8 @@ type Options = experiments.Options
 // Sampling is the (warmup, detail, interval) schedule of the SMARTS-style
 // sampled fast path; assign one to Config.Sampling to switch a run from
 // exact cycle-accurate simulation to interval sampling with extrapolated
-// cycles/energy and confidence intervals (Result.Sampling). Setting
-// MALEC_NO_SAMPLING=1 forces the exact path regardless.
+// cycles/energy and confidence intervals (Result.Sampling). Leave it nil
+// for the exact path; a run shorter than one interval is exact regardless.
 type Sampling = config.Sampling
 
 // SamplingEstimate reports a sampled run's schedule, per-metric 95%

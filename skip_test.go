@@ -1,111 +1,11 @@
 package malec
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
-
-// skipGrid is the config x benchmark x seed grid the cycle-skip
-// differential test covers: all three interface kinds plus the WDU and
-// bypass extensions, over both paper workloads and the stall-heavy stress
-// profiles the fast-forward targets.
-func skipGrid() []struct {
-	Cfg   Config
-	Bench string
-	Seed  uint64
-} {
-	configs := []Config{
-		Base1ldst(),
-		Base2ld1st(),
-		MALEC(),
-		MALECWithWDU(16),
-		MALECBypass(),
-	}
-	benchmarks := append([]string{"gzip", "mcf", "swim"}, StressBenchmarks()...)
-	seeds := []uint64{1, 2}
-	var grid []struct {
-		Cfg   Config
-		Bench string
-		Seed  uint64
-	}
-	for _, c := range configs {
-		for _, b := range benchmarks {
-			for _, s := range seeds {
-				grid = append(grid, struct {
-					Cfg   Config
-					Bench string
-					Seed  uint64
-				}{c, b, s})
-			}
-		}
-	}
-	return grid
-}
-
-// TestCycleSkipDifferential proves the event-driven fast-forward is
-// semantically invisible: for every grid point the full Result JSON —
-// cycles, energy (leakage included), every counter — is byte-identical
-// between the skipping loop and the DisableCycleSkip escape hatch.
-func TestCycleSkipDifferential(t *testing.T) {
-	t.Setenv("MALEC_NO_CYCLE_SKIP", "") // pin: the suite must pass with the env hatch exported
-	const instructions = 20000
-	skipped := false
-	for _, g := range skipGrid() {
-		on := g.Cfg
-		off := g.Cfg
-		off.DisableCycleSkip = true
-		rOn := Run(on, g.Bench, instructions, g.Seed)
-		rOff := Run(off, g.Bench, instructions, g.Seed)
-		jOn, err := json.Marshal(rOn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jOff, err := json.Marshal(rOff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(jOn, jOff) {
-			t.Errorf("%s/%s/seed=%d: skip-on result differs from skip-off (cycles %d vs %d)",
-				g.Cfg.Name, g.Bench, g.Seed, rOn.Cycles, rOff.Cycles)
-		}
-		if rOn.Telemetry.Get(CtrSkippedCycles) > 0 {
-			skipped = true
-		}
-		if got := rOff.Telemetry.Get(CtrSkippedCycles); got != 0 {
-			t.Errorf("%s/%s/seed=%d: escape hatch still skipped %d cycles",
-				g.Cfg.Name, g.Bench, g.Seed, got)
-		}
-	}
-	if !skipped {
-		t.Error("no grid point skipped any cycles: fast-forward path never engaged")
-	}
-}
-
-// TestCycleSkipEnvEscapeHatch checks the MALEC_NO_CYCLE_SKIP environment
-// toggle: it must force the plain loop (zero skip telemetry) and leave the
-// semantic result unchanged.
-func TestCycleSkipEnvEscapeHatch(t *testing.T) {
-	t.Setenv("MALEC_NO_CYCLE_SKIP", "")
-	ref := Run(MALEC(), "ptrchase", 5000, 1)
-	if ref.Telemetry.Get(CtrSkippedCycles) == 0 {
-		t.Fatal("reference run on a stall-heavy profile skipped nothing")
-	}
-	t.Setenv("MALEC_NO_CYCLE_SKIP", "1")
-	r := Run(MALEC(), "ptrchase", 5000, 1)
-	if got := r.Telemetry.Get(CtrSkippedCycles); got != 0 {
-		t.Fatalf("MALEC_NO_CYCLE_SKIP=1 but %d cycles skipped", got)
-	}
-	if r.Cycles != ref.Cycles {
-		t.Fatalf("env toggle changed timing: %d vs %d cycles", r.Cycles, ref.Cycles)
-	}
-}
+import "testing"
 
 // TestSkipTelemetryOnStressProfiles pins the property the stress suite
 // exists for: on stall-dominated workloads the majority of cycles are
 // fast-forwarded, and the typed telemetry counters report it.
 func TestSkipTelemetryOnStressProfiles(t *testing.T) {
-	t.Setenv("MALEC_NO_CYCLE_SKIP", "")
 	for _, bench := range StressBenchmarks() {
 		r := Run(MALEC(), bench, 20000, 1)
 		if r.Telemetry == nil {
@@ -135,30 +35,24 @@ func measureSteadyAllocs(cfg Config, bench string, n int) float64 {
 // TestSteadyStateAllocations locks in the zero-allocation cycle loop: the
 // allocation delta between a 2k- and a 12k-instruction run — i.e. the cost
 // of 10k additional instructions of steady-state simulation — must stay
-// near zero, with and without cycle skipping. Construction costs (caches,
-// rings, way tables) cancel out in the subtraction; the small ceiling
-// absorbs incidental growth of footprint-tracking maps (page table, stream
-// detector) as the trace touches new pages.
+// near zero. Construction costs (caches, rings, way tables) cancel out in
+// the subtraction; the small ceiling absorbs incidental growth of
+// footprint-tracking maps (page table, stream detector) as the trace
+// touches new pages.
 func TestSteadyStateAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"skip-on", false}, {"skip-off", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			t.Setenv("MALEC_NO_CYCLE_SKIP", "")
-			for _, bench := range []string{"gzip", "ptrchase"} {
-				cfg := MALEC()
-				cfg.DisableCycleSkip = mode.disable
-				small := measureSteadyAllocs(cfg, bench, 2000)
-				large := measureSteadyAllocs(cfg, bench, 12000)
-				if delta := large - small; delta > 128 {
-					t.Errorf("%s: %.0f allocs per extra 10k instructions (2k: %.0f, 12k: %.0f), want <= 128",
-						bench, delta, small, large)
-				}
+	// Cycle skipping is always on in the production loop; the subtest keeps
+	// the mode in the test name.
+	t.Run("skip-on", func(t *testing.T) {
+		for _, bench := range []string{"gzip", "ptrchase"} {
+			small := measureSteadyAllocs(MALEC(), bench, 2000)
+			large := measureSteadyAllocs(MALEC(), bench, 12000)
+			if delta := large - small; delta > 128 {
+				t.Errorf("%s: %.0f allocs per extra 10k instructions (2k: %.0f, 12k: %.0f), want <= 128",
+					bench, delta, small, large)
 			}
-		})
-	}
+		}
+	})
 }
