@@ -35,10 +35,12 @@
 // mid-response.
 //
 // With -peers (plus -advertise), the daemon joins a cluster of replicas:
-// a consistent-hash ring assigns each simulation point an owner, any node
+// a rendezvous-hash ring assigns each simulation point an owner, any node
 // accepts any request and forwards non-owned points to their owners over
 // /internal/v1/point, and an unreachable owner degrades to local
-// execution — degraded, never down. See the README "Cluster" section.
+// execution — degraded, never down. A peer is up from its last passing
+// /readyz probe (every -peer-probe-interval) until a probe or a forwarded
+// call to it fails. See the README "Cluster" section.
 package main
 
 import (
@@ -60,19 +62,6 @@ import (
 	"malec/internal/faultinject"
 	"malec/internal/server"
 )
-
-// splitURLs parses a comma-separated base-URL list, trimming whitespace
-// and trailing slashes and dropping empty entries.
-func splitURLs(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimRight(strings.TrimSpace(part), "/")
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
 
 func main() {
 	var (
@@ -97,10 +86,9 @@ func main() {
 		journalRet = flag.Duration("journal-retention", 7*24*time.Hour, "age past which completed campaign journals are pruned at startup (0 = keep forever)")
 		corruptRet = flag.Duration("corrupt-retention", 7*24*time.Hour, "age past which .corrupt quarantine files are pruned at startup (0 = keep forever)")
 		journalFlg = flag.String("journal-dir", "", "durable-campaign journal root (default <cache-dir>/v1/campaigns; lets clustered replicas share a result store without sharing journals)")
-		peers      = flag.String("peers", "", "comma-separated base URLs of the other cluster members (e.g. http://10.0.0.2:8080); empty = single node")
+		peers      = flag.String("peers", "", "comma-separated base URLs of the cluster members (e.g. http://10.0.0.2:8080); this node's own -advertise URL may be listed too; empty = single node")
 		advertise  = flag.String("advertise", "", "this node's base URL as peers reach it (default http://127.0.0.1<addr> when -addr is :port)")
 		peerTO     = flag.Duration("peer-timeout", time.Minute, "end-to-end timeout for one forwarded point call")
-		hedgeAfter = flag.Duration("hedge-after", 0, "race a second identical forwarded call if the first has not answered within this window (0 = no hedging)")
 		probeEvery = flag.Duration("peer-probe-interval", time.Second, "peer /readyz health-probe period")
 	)
 	flag.Parse()
@@ -144,7 +132,6 @@ func main() {
 	// fabric (forwarded points consume no local worker slots).
 	var clu *cluster.Cluster
 	if *peers != "" {
-		peerList := splitURLs(*peers)
 		self := *advertise
 		if self == "" {
 			if len(*addr) > 0 && (*addr)[0] == ':' {
@@ -155,15 +142,14 @@ func main() {
 		}
 		clu = cluster.New(cluster.Options{
 			Self:          self,
-			Peers:         peerList,
+			Peers:         strings.Split(*peers, ","),
 			ProbeInterval: *probeEvery,
 			CallTimeout:   *peerTO,
-			HedgeAfter:    *hedgeAfter,
 		})
 		clu.Start()
 		defer clu.Stop()
-		log.Printf("malecd cluster: self=%s peers=%v (peer-timeout=%v hedge-after=%v)",
-			self, peerList, *peerTO, *hedgeAfter)
+		log.Printf("malecd cluster: self=%s peers=%s members=%d (peer-timeout=%v)",
+			clu.Self(), *peers, clu.Size(), *peerTO)
 	}
 
 	campWorkers := 0

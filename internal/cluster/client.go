@@ -42,8 +42,8 @@ type PointResponse struct {
 }
 
 // Client is the peer HTTP client: one bounded-timeout call per method, no
-// policy — retries, backoff, hedging and breakers live in Cluster, which
-// owns the counters those decisions feed.
+// policy — which peer to call, and what a failure means for its health,
+// is Cluster's decision.
 type Client struct {
 	http    *http.Client
 	timeout time.Duration
@@ -51,24 +51,24 @@ type Client struct {
 
 // newClient builds the peer client. timeout bounds one forwarded call
 // (dial + execute + reply); the caller's context can only tighten it.
-func newClient(timeout time.Duration, hc *http.Client) *Client {
-	if hc == nil {
-		hc = &http.Client{
+func newClient(timeout time.Duration) *Client {
+	return &Client{
+		http: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConnsPerHost: 64,
 				IdleConnTimeout:     90 * time.Second,
 			},
-		}
+		},
+		timeout: timeout,
 	}
-	return &Client{http: hc, timeout: timeout}
 }
 
-// Ready probes a peer's /readyz. Probes bypass the peer failpoints: the
-// chaos points model a flaky forwarding path, and keeping the membership
-// signal clean is what lets a chaos run distinguish "link faults retried
-// away" from "peer actually down".
-func (cl *Client) Ready(base string, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// Ready probes a peer's /readyz within probeTimeout. Probes bypass the
+// peer failpoints: the chaos points model a flaky forwarding path, and
+// keeping the membership signal clean is what brings a peer that an
+// injected fault marked down back up on the next probe.
+func (cl *Client) Ready(base string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
 	if err != nil {
@@ -92,7 +92,7 @@ const maxPeerResponse = 1 << 20
 // RunPoint executes one point on a peer. The three peer failpoints thread
 // through here — before the dial, as an injected timeout, and after a
 // successful reply — so a chaos run exercises every failure position the
-// retry/failover machinery distinguishes.
+// failover walk can meet.
 func (cl *Client) RunPoint(ctx context.Context, base string, preq PointRequest) (cpu.Result, error) {
 	if faultinject.PeerDial.Fire() {
 		return cpu.Result{}, errors.New("cluster: injected peer dial failure")

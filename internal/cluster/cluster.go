@@ -1,23 +1,17 @@
-// Package cluster turns a set of malecd replicas into one fault-tolerant
-// simulation fabric. A rendezvous-hash ring over the canonical engine key
-// assigns every simulation point an owner replica; any node accepts any
-// request and forwards non-owned points to their owners over an internal
-// HTTP API, falling back to local execution when the owner is unreachable
-// — degraded, never down.
+// Package cluster turns a set of malecd replicas into one simulation
+// fabric. A rendezvous-hash ring over the canonical engine key assigns
+// every simulation point an owner replica; any node accepts any request
+// and forwards non-owned points to their owners over an internal HTTP API,
+// falling back to local execution when the owner is unreachable —
+// degraded, never down.
 //
-// The robustness toolkit around the forwarding path:
-//
-//   - health-checked membership: periodic /readyz probes with rise/fall
-//     thresholds over a static peer list;
-//   - per-peer circuit breakers fed by actual forwarded calls, with a
-//     half-open trial after a cooldown;
-//   - per-call timeouts, bounded retries with jittered exponential backoff
-//     (Backoff — the same helper the campaign retry loop uses);
-//   - optional hedged requests: a second identical call raced against a
-//     slow first one, for tail latency;
-//   - deterministic chaos: the MALEC_FAULT_PEER_{DIAL,TIMEOUT,ERR}
-//     failpoints fire inside the peer client, so the whole
-//     retry/failover/fallback ladder is testable without killing processes.
+// Each peer carries one health bit, up. A successful /readyz probe sets
+// it; a failed probe or a failed forwarded call clears it, and the next
+// probe (one per ProbeInterval) is the half-open check. Route makes one
+// call per up candidate in the key's ring preference order, so the walk to
+// the next ring successor, and finally local execution, is the retry. The
+// MALEC_FAULT_PEER_{DIAL,TIMEOUT,ERR} failpoints fire inside the peer
+// client, so that failover ladder is testable without killing processes.
 //
 // Correctness never depends on routing: results are content-addressed by
 // canonical key and the simulator is deterministic, so a point computes
@@ -28,7 +22,7 @@ package cluster
 
 import (
 	"context"
-	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,139 +33,96 @@ import (
 
 // Options configures a Cluster.
 type Options struct {
-	// Self is this node's advertised base URL (how peers reach it); it
-	// must appear nowhere in Peers.
+	// Self is this node's advertised base URL (how peers reach it).
 	Self string
-	// Peers lists the other members' base URLs (static membership).
+	// Peers lists the members' base URLs (static membership). New
+	// canonicalizes them like Self and drops empties, duplicates and Self,
+	// so every node may be handed the same full member list.
 	Peers []string
 
-	// ProbeInterval is the /readyz health-check period (default 1s);
-	// ProbeTimeout bounds one probe (default 2s).
+	// ProbeInterval is the /readyz health-check period (default 1s).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// Rise and Fall are the consecutive-probe thresholds for marking a
-	// peer healthy and unhealthy (defaults 2 and 2).
-	Rise int
-	Fall int
-
 	// CallTimeout bounds one forwarded point call end to end (default
 	// 60s — a forwarded point is a real simulation, not a metadata RPC).
 	CallTimeout time.Duration
-	// Retries is how many times a forwarded call to one peer is re-sent
-	// after a failure, with jittered exponential backoff (default 1).
-	Retries int
-	// RetryBase and RetryCap shape the retry backoff (defaults 50ms, 2s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// HedgeAfter, when positive, races a second identical call against a
-	// first one that has not answered within the window; first success
-	// wins, the loser is cancelled. Zero disables hedging.
-	HedgeAfter time.Duration
-
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// peer's circuit breaker (default 3); BreakerCooldown is how long it
-	// stays open before a half-open trial (default 3s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
-	// HTTPClient overrides the peer HTTP client (tests).
-	HTTPClient *http.Client
 }
 
-// normalize applies option defaults.
-func (o Options) normalize() Options {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.Rise <= 0 {
-		o.Rise = 2
-	}
-	if o.Fall <= 0 {
-		o.Fall = 2
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 60 * time.Second
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 1
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = 2 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 3 * time.Second
-	}
-	return o
-}
+// probeTimeout bounds one /readyz probe.
+const probeTimeout = 2 * time.Second
 
 // Stats is a snapshot of the cluster's routing counters.
 type Stats struct {
 	// Nodes is the total member count (self included); PeersHealthy is
-	// how many remote peers currently pass their health probes.
+	// how many remote peers are currently up.
 	Nodes        int `json:"nodes"`
 	PeersHealthy int `json:"peersHealthy"`
-	// BreakersOpen is how many peers' circuit breakers are holding calls
-	// off right now.
-	BreakersOpen int `json:"breakersOpen"`
 	// Forwarded counts points successfully executed on a peer.
 	Forwarded uint64 `json:"forwarded"`
-	// ForwardErrors counts failed forwarded-call attempts (each retry
-	// that failed counts once).
+	// ForwardErrors counts failed forwarded calls; a call cut short by the
+	// caller's own cancellation is not one.
 	ForwardErrors uint64 `json:"forwardErrors"`
 	// Failovers counts points whose primary owner could not serve them —
 	// they re-homed to a ring successor or fell back to local execution.
 	Failovers uint64 `json:"failovers"`
-	// Hedges counts hedged (second, raced) forwarded calls launched.
-	Hedges uint64 `json:"hedges"`
+	// Hedges is always zero: forwarded calls are never hedged. The field
+	// stays only because perfbench/layers.go reads it.
+	Hedges uint64 `json:"-"`
 }
 
 // Cluster is one node's view of the fabric: the ring, the peers' health,
 // and the forwarding policy. Safe for concurrent use.
 type Cluster struct {
-	opts   Options
-	ring   *Ring
-	client *Client
-	peers  map[string]*peer // by base URL; excludes self
-	order  []*peer          // stable iteration for Stats
+	self          string
+	probeInterval time.Duration
+	ring          *Ring
+	client        *Client
+	peers         map[string]*peer // by base URL; excludes self
+	order         []*peer          // stable iteration for Start and Stats
 
 	forwarded     atomic.Uint64
 	forwardErrors atomic.Uint64
 	failovers     atomic.Uint64
-	hedges        atomic.Uint64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
 }
 
+// canonicalURL is the one spelling of a member name: surrounding
+// whitespace and trailing slashes removed. Ring ownership hashes these
+// names, so every node must spell every member identically.
+func canonicalURL(u string) string {
+	return strings.TrimRight(strings.TrimSpace(u), "/")
+}
+
 // New builds a Cluster over self + peers. Call Start to begin health
-// probing; until a peer passes its rise threshold it receives no forwards.
+// probing; until a peer passes a probe it receives no forwards.
 func New(opts Options) *Cluster {
-	opts = opts.normalize()
-	nodes := append([]string{opts.Self}, opts.Peers...)
-	c := &Cluster{
-		opts:   opts,
-		ring:   NewRing(nodes),
-		client: newClient(opts.CallTimeout, opts.HTTPClient),
-		peers:  make(map[string]*peer, len(opts.Peers)),
-		stop:   make(chan struct{}),
+	if opts.ProbeInterval <= 0 {
+		opts.ProbeInterval = time.Second
 	}
+	if opts.CallTimeout <= 0 {
+		opts.CallTimeout = 60 * time.Second
+	}
+	c := &Cluster{
+		self:          canonicalURL(opts.Self),
+		probeInterval: opts.ProbeInterval,
+		client:        newClient(opts.CallTimeout),
+		peers:         make(map[string]*peer, len(opts.Peers)),
+		stop:          make(chan struct{}),
+	}
+	nodes := []string{c.self}
 	for _, url := range opts.Peers {
+		url = canonicalURL(url)
+		if url == "" || url == c.self || c.peers[url] != nil {
+			continue
+		}
 		p := &peer{url: url}
 		c.peers[url] = p
 		c.order = append(c.order, p)
+		nodes = append(nodes, url)
 	}
+	c.ring = NewRing(nodes)
 	return c
 }
 
@@ -179,7 +130,7 @@ func New(opts Options) *Cluster {
 func (c *Cluster) Size() int { return len(c.peers) + 1 }
 
 // Self returns this node's advertised URL.
-func (c *Cluster) Self() string { return c.opts.Self }
+func (c *Cluster) Self() string { return c.self }
 
 // Ring exposes the ownership ring (tests, diagnostics).
 func (c *Cluster) Ring() *Ring { return c.ring }
@@ -206,31 +157,21 @@ func (c *Cluster) Stats() Stats {
 		Forwarded:     c.forwarded.Load(),
 		ForwardErrors: c.forwardErrors.Load(),
 		Failovers:     c.failovers.Load(),
-		Hedges:        c.hedges.Load(),
 	}
-	now := time.Now()
 	for _, p := range c.order {
-		if p.healthy.Load() {
+		if p.up.Load() {
 			s.PeersHealthy++
-		}
-		if p.breakerOpen(now) {
-			s.BreakersOpen++
 		}
 	}
 	return s
 }
 
-// PeerHealthy reports a specific peer's probe verdict (tests, /v1/stats).
-func (c *Cluster) PeerHealthy(url string) bool {
-	p, ok := c.peers[url]
-	return ok && p.healthy.Load()
-}
-
 // Route decides where one simulation point runs. It is the engine's
 // remote-execution hook: handled=false means "run it locally" — the
 // self-owned case and every failure case alike, because local execution is
-// the one dependency-free path that always works. The walk tries each node
-// in the key's ring preference order; reaching self (or exhausting remote
+// the one dependency-free path that always works. The walk makes one call
+// to each up node in the key's ring preference order; a failed call marks
+// that peer down and moves on, and reaching self (or exhausting remote
 // candidates) falls back to local. An error returns only for the caller's
 // own context cancellation.
 func (c *Cluster) Route(ctx context.Context, key string, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, bool, error) {
@@ -238,7 +179,7 @@ func (c *Cluster) Route(ctx context.Context, key string, cfg config.Config, benc
 		return cpu.Result{}, false, nil
 	}
 	owners := c.ring.Owners(key, len(c.peers)+1)
-	if len(owners) == 0 || owners[0] == c.opts.Self {
+	if owners[0] == c.self {
 		return cpu.Result{}, false, nil
 	}
 	preq := PointRequest{
@@ -248,16 +189,15 @@ func (c *Cluster) Route(ctx context.Context, key string, cfg config.Config, benc
 		Seed:         seed,
 		Key:          key,
 	}
-	now := time.Now()
 	for rank, node := range owners {
-		if node == c.opts.Self {
+		if node == c.self {
 			break // our turn in the preference order: run locally
 		}
 		p := c.peers[node]
-		if p == nil || !p.available(now) {
+		if !p.up.Load() {
 			continue
 		}
-		res, err := c.callPeer(ctx, p, preq)
+		res, err := c.client.RunPoint(ctx, p.url, preq)
 		if err == nil {
 			c.forwarded.Add(1)
 			if rank > 0 {
@@ -266,99 +206,14 @@ func (c *Cluster) Route(ctx context.Context, key string, cfg config.Config, benc
 			return res, true, nil
 		}
 		if ctx.Err() != nil {
+			// The caller gave up; the peer did nothing wrong.
 			return cpu.Result{}, false, ctx.Err()
 		}
+		c.forwardErrors.Add(1)
+		p.up.Store(false)
 	}
 	// The primary owner is remote and nothing remote served the point:
 	// degraded, never down — the caller executes locally.
 	c.failovers.Add(1)
 	return cpu.Result{}, false, nil
-}
-
-// callPeer runs one point on one peer with bounded retries (jittered
-// exponential backoff between attempts) and breaker accounting. It stops
-// early when the breaker opens mid-sequence or the caller's context dies.
-func (c *Cluster) callPeer(ctx context.Context, p *peer, preq PointRequest) (cpu.Result, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(Backoff(attempt-1, c.opts.RetryBase, c.opts.RetryCap))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return cpu.Result{}, ctx.Err()
-			}
-		}
-		res, err := c.callOnce(ctx, p, preq)
-		if err == nil {
-			p.success()
-			return res, nil
-		}
-		lastErr = err
-		c.forwardErrors.Add(1)
-		p.failure(c.opts.BreakerThreshold, c.opts.BreakerCooldown)
-		if ctx.Err() != nil {
-			return cpu.Result{}, ctx.Err()
-		}
-		if !p.available(time.Now()) {
-			break // breaker opened (or probes flipped): stop hammering
-		}
-	}
-	return cpu.Result{}, lastErr
-}
-
-// callOnce performs one forwarded call, hedged when configured: if the
-// first request has not answered within HedgeAfter, an identical second
-// one races it and the first success wins (the loser's context is
-// cancelled). Hedging trades a little duplicate work for the tail — a
-// deduplicating, content-addressed receiver makes the duplicate harmless.
-func (c *Cluster) callOnce(ctx context.Context, p *peer, preq PointRequest) (cpu.Result, error) {
-	if c.opts.HedgeAfter <= 0 {
-		return c.client.RunPoint(ctx, p.url, preq)
-	}
-	type outcome struct {
-		res cpu.Result
-		err error
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, 2)
-	launch := func() {
-		go func() {
-			res, err := c.client.RunPoint(hctx, p.url, preq)
-			ch <- outcome{res, err}
-		}()
-	}
-	launch()
-	pending := 1
-	hedged := false
-	timer := time.NewTimer(c.opts.HedgeAfter)
-	defer timer.Stop()
-	var lastErr error
-	for {
-		select {
-		case out := <-ch:
-			pending--
-			if out.err == nil {
-				return out.res, nil
-			}
-			lastErr = out.err
-			if pending == 0 {
-				if !hedged {
-					return cpu.Result{}, lastErr
-				}
-				return cpu.Result{}, lastErr
-			}
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				c.hedges.Add(1)
-				launch()
-				pending++
-			}
-		case <-hctx.Done():
-			return cpu.Result{}, hctx.Err()
-		}
-	}
 }

@@ -67,42 +67,29 @@ func newFakePeer(t *testing.T) *fakePeer {
 	return f
 }
 
-// newTestCluster builds a started 2-node cluster (self is fictional, the
-// peer is the fake) with fast probes and no retry sleep worth noticing.
-func newTestCluster(t *testing.T, f *fakePeer, opts Options) *Cluster {
+// testSelf is the fictional advertised URL of the node under test.
+const testSelf = "http://self.invalid:1"
+
+// newProbedCluster builds an unstarted cluster whose peers are the fakes
+// and probes each peer once. With no probe loop running, a peer's health
+// changes only when the test probes or routes, so every assertion about
+// it is deterministic.
+func newProbedCluster(t *testing.T, fakes ...*fakePeer) *Cluster {
 	t.Helper()
-	opts.Self = "http://self.invalid:1"
-	opts.Peers = []string{f.srv.URL}
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = 10 * time.Millisecond
+	var urls []string
+	for _, f := range fakes {
+		urls = append(urls, f.srv.URL)
 	}
-	if opts.Rise == 0 {
-		opts.Rise = 1
-	}
-	if opts.RetryBase == 0 {
-		opts.RetryBase = time.Millisecond
-	}
-	if opts.RetryCap == 0 {
-		opts.RetryCap = 2 * time.Millisecond
-	}
-	c := New(opts)
-	c.Start()
-	t.Cleanup(c.Stop)
+	c := New(Options{Self: testSelf, Peers: urls})
+	probeAll(c)
 	return c
 }
 
-// waitPeerHealthy polls until the cluster marks the peer with the given
-// health, failing the test on timeout.
-func waitPeerHealthy(t *testing.T, c *Cluster, url string, want bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.PeerHealthy(url) == want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+// probeAll runs one /readyz probe against every peer.
+func probeAll(c *Cluster) {
+	for _, p := range c.order {
+		c.probeOnce(p)
 	}
-	t.Fatalf("peer %s never became healthy=%v", url, want)
 }
 
 // peerOwnedKey returns a key whose ring owner is the given node.
@@ -123,26 +110,53 @@ func testPointArgs() (config.Config, string, int, uint64) {
 	return cfg, "gzip", 100000, 1
 }
 
-// TestMembershipRiseFall drives the probe thresholds both directions.
+// TestMembershipRiseFall checks the probe verdict in both directions: one
+// passing probe flips a peer up, one failing probe flips it down.
 func TestMembershipRiseFall(t *testing.T) {
 	f := newFakePeer(t)
-	c := newTestCluster(t, f, Options{Rise: 2, Fall: 2})
-	waitPeerHealthy(t, c, f.srv.URL, true)
+	f.ready.Store(false)
+	c := newProbedCluster(t, f)
+	if got := c.Stats().PeersHealthy; got != 0 {
+		t.Fatalf("PeersHealthy after a failed probe = %d, want 0", got)
+	}
+	f.ready.Store(true)
+	probeAll(c)
 	if got := c.Stats().PeersHealthy; got != 1 {
-		t.Fatalf("PeersHealthy = %d, want 1", got)
+		t.Fatalf("PeersHealthy after one passing probe = %d, want 1", got)
 	}
 	f.ready.Store(false)
-	waitPeerHealthy(t, c, f.srv.URL, false)
-	f.ready.Store(true)
-	waitPeerHealthy(t, c, f.srv.URL, true)
+	probeAll(c)
+	if got := c.Stats().PeersHealthy; got != 0 {
+		t.Fatalf("PeersHealthy after one failing probe = %d, want 0", got)
+	}
+}
+
+// TestNewCanonicalizesMembers checks that member names are spelled one
+// way on every node: whitespace and trailing slashes are trimmed, and
+// empties, duplicates and self are dropped from the peer list, so two
+// nodes handed differently spelled lists still agree on every owner.
+func TestNewCanonicalizesMembers(t *testing.T) {
+	a := New(Options{Self: "http://a/", Peers: []string{"http://a", "http://b/", "http://b", ""}})
+	b := New(Options{Self: "http://b", Peers: []string{"http://a"}})
+	if a.Size() != 2 || b.Size() != 2 {
+		t.Fatalf("Size() = %d and %d, want 2 and 2", a.Size(), b.Size())
+	}
+	if a.Self() != "http://a" {
+		t.Fatalf("Self() = %q, want %q", a.Self(), "http://a")
+	}
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("key%04d", i)
+		if oa, ob := a.Ring().Owner(k), b.Ring().Owner(k); oa != ob {
+			t.Fatalf("nodes disagree on the owner of %s: %s vs %s", k, oa, ob)
+		}
+	}
 }
 
 // TestRouteForwardsToOwner checks the happy path: a peer-owned point is
 // executed remotely, a self-owned point is declined to local execution.
 func TestRouteForwardsToOwner(t *testing.T) {
 	f := newFakePeer(t)
-	c := newTestCluster(t, f, Options{})
-	waitPeerHealthy(t, c, f.srv.URL, true)
+	c := newProbedCluster(t, f)
 	cfg, bench, instr, seed := testPointArgs()
 
 	key := peerOwnedKey(t, c, f.srv.URL)
@@ -172,8 +186,8 @@ func TestRouteForwardsToOwner(t *testing.T) {
 // execution and counted as a failover.
 func TestRouteFallsBackLocalWhenPeerDown(t *testing.T) {
 	f := newFakePeer(t)
-	f.ready.Store(false) // never passes a probe; peer starts unhealthy
-	c := newTestCluster(t, f, Options{})
+	f.ready.Store(false) // fails its probe; the peer stays down
+	c := newProbedCluster(t, f)
 	cfg, bench, instr, seed := testPointArgs()
 	key := peerOwnedKey(t, c, f.srv.URL)
 	_, handled, err := c.Route(context.Background(), key, cfg, bench, instr, seed)
@@ -184,89 +198,96 @@ func TestRouteFallsBackLocalWhenPeerDown(t *testing.T) {
 		t.Fatalf("Failovers = %d, want 1", st.Failovers)
 	}
 	if f.pointCalls.Load() != 0 {
-		t.Fatalf("unhealthy peer received %d point calls", f.pointCalls.Load())
+		t.Fatalf("down peer received %d point calls", f.pointCalls.Load())
 	}
 }
 
-// TestBreakerOpensAndRecovers checks the circuit breaker: consecutive
-// point failures open it (no more calls reach the peer), and after the
-// cooldown a half-open trial success closes it again.
-func TestBreakerOpensAndRecovers(t *testing.T) {
+// TestFailedCallMarksPeerDown checks the one health state from the
+// forwarding side: a failed point call marks the peer down and falls back
+// to local, later points skip the peer without an HTTP call, and the next
+// passing probe restores forwarding.
+func TestFailedCallMarksPeerDown(t *testing.T) {
 	f := newFakePeer(t)
-	c := newTestCluster(t, f, Options{
-		Retries:          1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
-	waitPeerHealthy(t, c, f.srv.URL, true)
+	c := newProbedCluster(t, f)
 	cfg, bench, instr, seed := testPointArgs()
 	key := peerOwnedKey(t, c, f.srv.URL)
 
 	f.failStatus.Store(http.StatusInternalServerError)
-	// 2 attempts (1 retry) ≥ threshold 2: the breaker opens during this
-	// Route, which falls back to local.
 	_, handled, err := c.Route(context.Background(), key, cfg, bench, instr, seed)
 	if err != nil || handled {
 		t.Fatalf("Route(failing peer) = handled=%v err=%v, want local fallback", handled, err)
 	}
 	st := c.Stats()
-	if st.BreakersOpen != 1 || st.ForwardErrors < 2 {
-		t.Fatalf("stats after failures = %+v, want BreakersOpen=1, ForwardErrors>=2", st)
+	if st.ForwardErrors != 1 || st.PeersHealthy != 0 || st.Failovers != 1 {
+		t.Fatalf("stats after a failed call = %+v, want ForwardErrors=1 PeersHealthy=0 Failovers=1", st)
 	}
 
-	// While open, routing skips the peer without an HTTP call.
+	// While down, routing skips the peer without an HTTP call.
 	calls := f.pointCalls.Load()
 	if _, handled, _ := c.Route(context.Background(), key, cfg, bench, instr, seed); handled {
-		t.Fatal("Route succeeded through an open breaker")
+		t.Fatal("Route forwarded to a peer marked down")
 	}
 	if f.pointCalls.Load() != calls {
-		t.Fatalf("open breaker let %d calls through", f.pointCalls.Load()-calls)
+		t.Fatalf("down peer received %d point calls", f.pointCalls.Load()-calls)
 	}
 
-	// After the cooldown the half-open trial succeeds and closes it.
+	// The peer recovers; the next probe is the half-open check.
 	f.failStatus.Store(0)
-	time.Sleep(60 * time.Millisecond)
+	probeAll(c)
 	_, handled, err = c.Route(context.Background(), key, cfg, bench, instr, seed)
 	if err != nil || !handled {
-		t.Fatalf("Route(half-open trial) = handled=%v err=%v, want forwarded", handled, err)
+		t.Fatalf("Route(after recovery probe) = handled=%v err=%v, want forwarded", handled, err)
 	}
-	if st := c.Stats(); st.BreakersOpen != 0 {
-		t.Fatalf("breaker still open after successful trial: %+v", st)
+	if st := c.Stats(); st.Forwarded != 1 || st.PeersHealthy != 1 {
+		t.Fatalf("stats after recovery = %+v, want Forwarded=1 PeersHealthy=1", st)
 	}
 }
 
-// TestHedgedRequest checks tail hedging: a stalled first call is raced by
-// a second identical one, the success wins, and the hedge is counted.
-func TestHedgedRequest(t *testing.T) {
-	f := newFakePeer(t)
-	f.delay.Store(int64(100 * time.Millisecond))
-	c := newTestCluster(t, f, Options{HedgeAfter: 10 * time.Millisecond})
-	waitPeerHealthy(t, c, f.srv.URL, true)
+// TestRouteFailsOverToSuccessor checks the rank > 0 branch: with the
+// owner failing, the walk's next call goes to the key's ring successor,
+// which serves the point.
+func TestRouteFailsOverToSuccessor(t *testing.T) {
+	f1, f2 := newFakePeer(t), newFakePeer(t)
+	c := newProbedCluster(t, f1, f2)
+	byURL := map[string]*fakePeer{f1.srv.URL: f1, f2.srv.URL: f2}
+	var key string
+	for i := 0; key == "" && i < 10000; i++ {
+		k := fmt.Sprintf("abc%06d:gzip:1000000:%d", i, i)
+		if c.Ring().Owners(k, 3)[2] == c.Self() {
+			key = k
+		}
+	}
+	if key == "" {
+		t.Fatal("no key with self last in its preference order found")
+	}
+	order := c.Ring().Owners(key, 3)
+	owner, successor := byURL[order[0]], byURL[order[1]]
+	owner.failStatus.Store(http.StatusInternalServerError)
+	successor.cycles.Store(777)
+
 	cfg, bench, instr, seed := testPointArgs()
-	key := peerOwnedKey(t, c, f.srv.URL)
 	res, handled, err := c.Route(context.Background(), key, cfg, bench, instr, seed)
 	if err != nil || !handled {
-		t.Fatalf("Route(hedged) = handled=%v err=%v, want forwarded", handled, err)
+		t.Fatalf("Route(owner failing) = handled=%v err=%v, want served by successor", handled, err)
 	}
-	if res.Cycles != 12345 {
-		t.Fatalf("hedged result Cycles = %d, want 12345", res.Cycles)
+	if res.Cycles != 777 {
+		t.Fatalf("result Cycles = %d, want the successor's 777", res.Cycles)
 	}
-	st := c.Stats()
-	if st.Hedges < 1 {
-		t.Fatalf("Hedges = %d, want >= 1", st.Hedges)
+	if st := c.Stats(); st.Forwarded != 1 || st.Failovers != 1 || st.ForwardErrors != 1 {
+		t.Fatalf("stats = %+v, want Forwarded=1 Failovers=1 ForwardErrors=1", st)
 	}
-	if f.pointCalls.Load() < 2 {
-		t.Fatalf("peer saw %d point calls, want the hedge to have launched", f.pointCalls.Load())
+	if owner.pointCalls.Load() != 1 || successor.pointCalls.Load() != 1 {
+		t.Fatalf("point calls owner=%d successor=%d, want 1 each", owner.pointCalls.Load(), successor.pointCalls.Load())
 	}
 }
 
 // TestRoutePeerFailpoints checks the chaos path: with the peer-dial
-// failpoint always firing, every forward fails and routing degrades to
-// local execution — and with it disarmed again, forwarding resumes.
+// failpoint always firing, the one forwarded call fails and routing
+// degrades to local execution — and with it disarmed again, the next
+// probe restores forwarding.
 func TestRoutePeerFailpoints(t *testing.T) {
 	f := newFakePeer(t)
-	c := newTestCluster(t, f, Options{Retries: 1, BreakerThreshold: 100})
-	waitPeerHealthy(t, c, f.srv.URL, true)
+	c := newProbedCluster(t, f)
 	cfg, bench, instr, seed := testPointArgs()
 	key := peerOwnedKey(t, c, f.srv.URL)
 
@@ -277,14 +298,15 @@ func TestRoutePeerFailpoints(t *testing.T) {
 		t.Fatalf("Route(dial faults) = handled=%v err=%v, want local fallback", handled, err)
 	}
 	st := c.Stats()
-	if st.ForwardErrors < 2 || st.Failovers != 1 {
-		t.Fatalf("stats under faults = %+v, want ForwardErrors>=2 Failovers=1", st)
+	if st.ForwardErrors != 1 || st.Failovers != 1 {
+		t.Fatalf("stats under faults = %+v, want ForwardErrors=1 Failovers=1", st)
 	}
 	if f.pointCalls.Load() != 0 {
 		t.Fatalf("dial failpoint let %d calls reach the peer", f.pointCalls.Load())
 	}
 
 	faultinject.PeerDial.Disarm()
+	probeAll(c)
 	_, handled, err = c.Route(context.Background(), key, cfg, bench, instr, seed)
 	if err != nil || !handled {
 		t.Fatalf("Route(disarmed) = handled=%v err=%v, want forwarded", handled, err)
@@ -293,12 +315,12 @@ func TestRoutePeerFailpoints(t *testing.T) {
 
 // TestRouteCancelledContext checks that the caller's own cancellation is
 // surfaced as an error, not silently converted to a local fallback (the
-// engine must see the cancellation).
+// engine must see the cancellation), and is not held against the peer: it
+// stays up and no forward error is counted.
 func TestRouteCancelledContext(t *testing.T) {
 	f := newFakePeer(t)
 	f.delay.Store(int64(200 * time.Millisecond))
-	c := newTestCluster(t, f, Options{})
-	waitPeerHealthy(t, c, f.srv.URL, true)
+	c := newProbedCluster(t, f)
 	cfg, bench, instr, seed := testPointArgs()
 	key := peerOwnedKey(t, c, f.srv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -306,5 +328,8 @@ func TestRouteCancelledContext(t *testing.T) {
 	_, _, err := c.Route(ctx, key, cfg, bench, instr, seed)
 	if err == nil {
 		t.Fatal("Route(cancelled ctx) returned nil error")
+	}
+	if st := c.Stats(); st.PeersHealthy != 1 || st.ForwardErrors != 0 {
+		t.Fatalf("stats after a cancelled call = %+v, want PeersHealthy=1 ForwardErrors=0", st)
 	}
 }

@@ -132,17 +132,10 @@ func startNodes(t *testing.T, n int) []*node {
 			CacheDir: filepath.Join(t.TempDir(), fmt.Sprintf("node%d", i)),
 		})
 		clu := cluster.New(cluster.Options{
-			Self:            urls[i],
-			Peers:           peers,
-			ProbeInterval:   25 * time.Millisecond,
-			ProbeTimeout:    time.Second,
-			Rise:            1,
-			Fall:            2,
-			CallTimeout:     30 * time.Second,
-			Retries:         2,
-			RetryBase:       5 * time.Millisecond,
-			RetryCap:        50 * time.Millisecond,
-			BreakerCooldown: 100 * time.Millisecond,
+			Self:          urls[i],
+			Peers:         peers,
+			ProbeInterval: 25 * time.Millisecond,
+			CallTimeout:   30 * time.Second,
 		})
 		mgr := engine.NewCampaignManager(eng, engine.CampaignManagerOptions{})
 		api := server.New(eng, server.Options{Campaigns: mgr, Cluster: clu})
@@ -240,8 +233,8 @@ func TestClusterFailoverKilledPeer(t *testing.T) {
 		t.Fatalf("cluster campaign: %v", err)
 	}
 	// Kill the worker immediately after launch: in-flight forwards to it
-	// die with the connection, later ones fail to dial, and once the fall
-	// threshold trips the probes stop routing there at all.
+	// die with the connection, and the first failed call or probe marks
+	// it down, so later points re-home without calling it.
 	nodes[2].hs.Close()
 	waitCampaignDone(t, run)
 	gotJSON, gotCSV := exportBoth(t, run)

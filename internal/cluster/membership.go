@@ -5,57 +5,15 @@ import (
 	"time"
 )
 
-// peer is one remote member's live state: health as seen by the periodic
-// /readyz probes, plus a circuit breaker fed by actual forwarded calls.
-// The two are deliberately separate signals — a peer can answer /readyz
-// while its point API fails (version skew, a wedged handler); the breaker
-// catches what the probe can't.
+// peer is one remote member's live state: a single health bit. A
+// successful /readyz probe sets up; a failed probe or a failed forwarded
+// call clears it, so a peer whose point API fails while /readyz still
+// answers (version skew, a wedged handler) stops receiving forwards until
+// the next probe lets one call through again. Peers start down — a node
+// that never answered a probe never receives a forward.
 type peer struct {
 	url string
-
-	// healthy is the probe verdict: flipped up after `rise` consecutive
-	// successful probes, down after `fall` consecutive failures. Peers
-	// start unhealthy — a node that never answered a probe never receives
-	// a forward (degraded-but-local beats forwarding into the void).
-	healthy atomic.Bool
-	// okStreak/failStreak are the probe loop's consecutive counters,
-	// touched only by that peer's probe goroutine.
-	okStreak, failStreak int
-
-	// consecFails counts consecutive forwarded-call failures; at the
-	// breaker threshold the peer is opened (openUntil) for a cooldown.
-	// After the cooldown one trial call is let through (half-open): a
-	// success resets everything, a failure re-opens immediately.
-	consecFails atomic.Int64
-	openUntil   atomic.Int64 // unix nanos; 0 = closed
-}
-
-// available reports whether the peer should receive a forwarded call right
-// now: probe-healthy and breaker not open.
-func (p *peer) available(now time.Time) bool {
-	if !p.healthy.Load() {
-		return false
-	}
-	return p.openUntil.Load() <= now.UnixNano()
-}
-
-// breakerOpen reports whether the breaker is holding calls off.
-func (p *peer) breakerOpen(now time.Time) bool {
-	return p.openUntil.Load() > now.UnixNano()
-}
-
-// success records a successful forwarded call: the breaker closes.
-func (p *peer) success() {
-	p.consecFails.Store(0)
-	p.openUntil.Store(0)
-}
-
-// failure records a failed forwarded call; at the threshold the breaker
-// opens for the cooldown.
-func (p *peer) failure(threshold int, cooldown time.Duration) {
-	if p.consecFails.Add(1) >= int64(threshold) {
-		p.openUntil.Store(time.Now().Add(cooldown).UnixNano())
-	}
+	up  atomic.Bool
 }
 
 // probeLoop drives one peer's health: an immediate probe at startup (so a
@@ -64,7 +22,7 @@ func (p *peer) failure(threshold int, cooldown time.Duration) {
 func (c *Cluster) probeLoop(p *peer) {
 	defer c.wg.Done()
 	c.probeOnce(p)
-	t := time.NewTicker(c.opts.ProbeInterval)
+	t := time.NewTicker(c.probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -76,22 +34,9 @@ func (c *Cluster) probeLoop(p *peer) {
 	}
 }
 
-// probeOnce performs one /readyz round trip and applies the rise/fall
-// thresholds. A draining or dead peer fails its probe, so load balancers
-// and this membership view converge on the same signal.
+// probeOnce performs one /readyz round trip and records its verdict. A
+// draining or dead peer fails its probe, so load balancers and this
+// membership view converge on the same signal.
 func (c *Cluster) probeOnce(p *peer) {
-	err := c.client.Ready(p.url, c.opts.ProbeTimeout)
-	if err == nil {
-		p.failStreak = 0
-		p.okStreak++
-		if !p.healthy.Load() && p.okStreak >= c.opts.Rise {
-			p.healthy.Store(true)
-		}
-		return
-	}
-	p.okStreak = 0
-	p.failStreak++
-	if p.healthy.Load() && p.failStreak >= c.opts.Fall {
-		p.healthy.Store(false)
-	}
+	p.up.Store(c.client.Ready(p.url) == nil)
 }

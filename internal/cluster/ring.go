@@ -45,9 +45,6 @@ func NewRing(nodes []string) *Ring {
 	return r
 }
 
-// Nodes returns the member names, sorted.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // score is one member's rendezvous weight for one key: the member's name
 // hash mixed with the key hash through a 64-bit finalizer, so each
 // (member, key) pair gets an independent uniform draw without hashing the

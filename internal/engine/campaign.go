@@ -8,11 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"strconv"
 	"sync"
 	"time"
 
-	"malec/internal/cluster"
 	"malec/internal/config"
 	"malec/internal/cpu"
 	"malec/internal/trace"
@@ -190,11 +190,20 @@ func (e *Engine) RunCampaignContext(ctx context.Context, spec CampaignSpec) (*Ca
 	return &Campaign{Spec: spec, Results: results}, nil
 }
 
-// jobBackoff is the sleep before retry number attempt (0-based): the
-// shared cluster backoff policy — 50ms doubling per attempt, capped at 2s,
-// with full jitter in the upper half of the window.
+// jobBackoff is the sleep before retry number attempt (0-based): 50ms
+// doubling per attempt, capped at 2s, with full jitter in the upper half
+// of the window — the returned duration is uniform in [d/2, d], where d is
+// the capped exponential. The jitter decorrelates jobs that failed
+// together, while the d/2 floor still guarantees real spacing.
 func jobBackoff(attempt int) time.Duration {
-	return cluster.Backoff(attempt, 50*time.Millisecond, 2*time.Second)
+	const base, limit = 50 * time.Millisecond, 2 * time.Second
+	d := limit
+	// Guard the shift: past 30 doublings the exponential has long since
+	// saturated the cap.
+	if attempt < 30 {
+		d = min(base<<attempt, limit)
+	}
+	return d/2 + rand.N(d/2+1)
 }
 
 // runJobs executes an arbitrary job list through the engine with bounded

@@ -242,23 +242,17 @@ func (s *Server) registerClusterMetrics() {
 		"Cluster members (self included).",
 		func() float64 { return float64(st.Nodes) })
 	s.reg.GaugeFunc("malec_cluster_peers_healthy",
-		"Remote peers currently passing health probes.",
+		"Remote peers currently up (last probe passed, no forwarded call failed since).",
 		func() float64 { return float64(st.PeersHealthy) })
-	s.reg.GaugeFunc("malec_cluster_breakers_open",
-		"Peers whose circuit breakers are currently open.",
-		func() float64 { return float64(st.BreakersOpen) })
 	s.reg.CounterFunc("malec_cluster_forwarded_total",
 		"Points successfully executed on a peer.",
 		func() float64 { return float64(st.Forwarded) })
 	s.reg.CounterFunc("malec_cluster_forward_errors_total",
-		"Failed forwarded-call attempts (each failed retry counts once).",
+		"Failed forwarded calls (each marks its peer down until the next probe).",
 		func() float64 { return float64(st.ForwardErrors) })
 	s.reg.CounterFunc("malec_cluster_failovers_total",
 		"Points not served by their primary owner (re-homed or run locally).",
 		func() float64 { return float64(st.Failovers) })
-	s.reg.CounterFunc("malec_cluster_hedges_total",
-		"Hedged (second, raced) forwarded calls launched.",
-		func() float64 { return float64(st.Hedges) })
 }
 
 // handleMetrics implements GET /metrics (Prometheus text exposition).
