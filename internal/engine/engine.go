@@ -244,7 +244,8 @@ type Engine struct {
 
 	mu          sync.Mutex
 	cache       map[Key]cpu.Result
-	order       []Key // cache insertion order, for FIFO eviction
+	encoded     map[Key][]byte // memoized json.Marshal of cache entries, evicted with them
+	order       []Key          // cache insertion order, for FIFO eviction
 	inflight    map[Key]*call
 	poisoned    map[Key]error // keys whose simulation panicked, never re-run
 	poisonOrder []Key         // poisoning order, for FIFO eviction
@@ -264,6 +265,7 @@ func New(opts Options) *Engine {
 		maxEntries:  opts.MaxCacheEntries,
 		sem:         make(chan struct{}, opts.Workers),
 		cache:       make(map[Key]cpu.Result),
+		encoded:     make(map[Key][]byte),
 		inflight:    make(map[Key]*call),
 		poisoned:    make(map[Key]error),
 		maxPoisoned: opts.MaxPoisonedKeys,
@@ -369,7 +371,34 @@ func (e *Engine) store(key Key, res cpu.Result) {
 		oldest := e.order[0]
 		e.order = e.order[1:]
 		delete(e.cache, oldest)
+		delete(e.encoded, oldest)
 	}
+}
+
+// ResultJSON returns json.Marshal(res) for the result the engine returned
+// under key. A result still in the memory cache is encoded once and the
+// bytes kept beside its entry until eviction, so every later hit on the
+// point shares them; a result no longer in memory is encoded afresh and not
+// kept. The returned bytes are shared: callers must not modify them.
+func (e *Engine) ResultJSON(key Key, res cpu.Result) ([]byte, error) {
+	e.mu.Lock()
+	data, ok := e.encoded[key]
+	e.mu.Unlock()
+	if ok {
+		return data, nil
+	}
+	// Encode outside the lock; two racing first hits both encode, and
+	// either's identical bytes may stay.
+	data, err := json.Marshal(res)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	if _, cached := e.cache[key]; cached {
+		e.encoded[key] = data
+	}
+	e.mu.Unlock()
+	return data, nil
 }
 
 // Run returns the result of one simulation point, computing it at most

@@ -46,6 +46,31 @@ func KeyFor(cfg config.Config, benchmark string, instructions int, seed uint64) 
 // depths, sampling schedule) share their first 8 characters — and with
 // them the warmed-checkpoint store, which is keyed by MemSideDigest alone.
 func ConfigDigest(cfg config.Config) string {
+	if cfg.Sampling == nil {
+		if d, ok := presetDigests[cfg]; ok {
+			return d
+		}
+	}
+	return computeConfigDigest(cfg)
+}
+
+// presetDigests holds the digest of every registry preset, computed once:
+// a named config is the common case on every serving path, and its digest
+// never changes. A config differing from its preset in any field, or
+// carrying a sampling schedule, misses and is digested in full. One entry
+// per preset, so the table is as bounded as the registry.
+var presetDigests = func() map[config.Config]string {
+	names := config.Names()
+	m := make(map[config.Config]string, len(names))
+	for _, name := range names {
+		cfg, _ := config.Named(name)
+		m[cfg] = computeConfigDigest(cfg)
+	}
+	return m
+}()
+
+// computeConfigDigest derives ConfigDigest without the preset table.
+func computeConfigDigest(cfg config.Config) string {
 	// Sampling is part of the encoding: sampled results are estimates,
 	// never interchangeable with exact ones.
 	enc, err := json.Marshal(cfg)

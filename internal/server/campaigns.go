@@ -257,8 +257,17 @@ func (s *Server) exportResults(w http.ResponseWriter, r *http.Request, run *engi
 		camp.WriteCSV(w) //nolint:errcheck // headers sent; nothing left to report
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	// An export is the campaign's archived artifact: unlike every live
+	// reply it keeps its indented layout, byte for byte.
+	data, err := json.MarshalIndent(map[string]any{
 		"jobs":    len(camp.Results),
 		"results": camp.Results,
-	})
+	}, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding export: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(data, '\n')) //nolint:errcheck // headers sent; nothing left to report
 }

@@ -54,10 +54,16 @@ func (s *Server) handleInternalPoint(w http.ResponseWriter, r *http.Request) {
 		s.writeSimError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, cluster.PointResponse{
-		Key:      k.String(),
-		Source:   string(src),
-		Result:   res,
-		Sampling: res.Sampling,
-	})
+	result, err := s.resultJSON(k, res, src)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding result: %v", err)
+		return
+	}
+	// The members of cluster.PointResponse, in order, up to "result".
+	head := make([]byte, 0, 256+len(result))
+	head = append(head, `{"key":`...)
+	head = appendJSONString(head, k.String())
+	head = append(head, `,"source":`...)
+	head = appendJSONString(head, string(src))
+	writeResultReply(w, head, result, res.Sampling)
 }

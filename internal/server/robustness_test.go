@@ -145,6 +145,17 @@ func TestDeadlineMsTimesOut(t *testing.T) {
 	}
 }
 
+// TestOverflowingDeadlineMsIgnored sends a deadline_ms whose product with
+// a millisecond wraps int64 to 64ns: a deadline that long cannot tighten
+// anything, so it must not time the request out.
+func TestOverflowingDeadlineMsIgnored(t *testing.T) {
+	ts, _ := newTestServer(t, stubSim, Options{})
+	body := `{"config":"MALEC","benchmark":"gzip","instructions":1000,"seed":1,"deadline_ms":76480200929599801}`
+	if resp, raw := post(t, ts.URL+"/v1/run", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d (%s), want 200", resp.StatusCode, raw)
+	}
+}
+
 func TestServerRequestTimeout(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	ts, _, _ := newBlockingServer(t, Options{RequestTimeout: 50 * time.Millisecond}, entered, nil)

@@ -25,7 +25,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -194,13 +197,11 @@ func (s *Server) StartDraining() { s.draining.Store(true) }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// writeJSON writes v as a JSON response.
+// writeJSON writes v as a compact JSON response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // headers sent; nothing left to report
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // headers sent; nothing left to report
 }
 
 // writeError writes a JSON error envelope.
@@ -208,28 +209,85 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// resultJSON returns the encoding of a served result. Memory hits share
+// the engine's memoized encoding; any other source encodes afresh, so a
+// point that is simulated, loaded or joined once and never re-read keeps
+// nothing extra.
+func (s *Server) resultJSON(key engine.Key, res cpu.Result, src engine.Source) ([]byte, error) {
+	if src == engine.SourceMemory {
+		return s.eng.ResultJSON(key, res)
+	}
+	return json.Marshal(res)
+}
+
+// writeResultReply completes and writes a 200 reply whose "result" member
+// is an already-encoded cpu.Result. head holds the opening brace and the
+// members before "result", in the field order of the reply struct it
+// stands for (runResponse, cluster.PointResponse); the result bytes are
+// spliced in verbatim and "sampling" follows when set. The reply equals
+// json.Marshal of that struct plus writeJSON's newline, without the result
+// being encoded or re-scanned again.
+func writeResultReply(w http.ResponseWriter, head, result []byte, sampling *cpu.SamplingEstimate) {
+	buf := append(head, `,"result":`...)
+	buf = append(buf, result...)
+	if sampling != nil {
+		enc, err := json.Marshal(sampling)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "encoding sampling estimate: %v", err)
+			return
+		}
+		buf = append(buf, `,"sampling":`...)
+		buf = append(buf, enc...)
+	}
+	buf = append(buf, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf) //nolint:errcheck // headers sent; nothing left to report
+}
+
+// appendJSONString appends s as encoding/json encodes a string: printable
+// ASCII other than the characters it escapes goes through as is, anything
+// else takes the encoder itself.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s) // a string always encodes
+			return append(buf, enc...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
+}
+
 // maxBodyBytes bounds request bodies: far above any legitimate run or
 // sweep spec, far below anything that could pressure memory.
 const maxBodyBytes = 1 << 20
 
 // readBody decodes a JSON request body into v, rejecting unknown fields so
-// client typos fail loudly instead of silently running defaults. Oversized
-// bodies are cut off by http.MaxBytesReader (which also closes the
-// connection) and reported as 413.
+// client typos fail loudly instead of silently running defaults, and
+// anything after the one JSON value so a mangled or concatenated body is
+// not half-read. Oversized bodies are cut off by http.MaxBytesReader
+// (which also closes the connection) and reported as 413.
 func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", mbe.Limit)
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
 		}
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", mbe.Limit)
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+	return false
 }
 
 // handleHealthz implements GET /healthz: pure liveness, green as long as
@@ -258,7 +316,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // sooner.
 func (s *Server) requestContext(r *http.Request, deadlineMs int) (context.Context, context.CancelFunc) {
 	d := s.opts.RequestTimeout
-	if deadlineMs > 0 {
+	// A deadline too long to represent cannot tighten anything.
+	if deadlineMs > 0 && int64(deadlineMs) <= math.MaxInt64/int64(time.Millisecond) {
 		rd := time.Duration(deadlineMs) * time.Millisecond
 		if d == 0 || rd < d {
 			d = rd
@@ -349,7 +408,9 @@ type runRequest struct {
 	Sampling *config.Sampling `json:"sampling"`
 }
 
-// runResponse is the POST /v1/run reply.
+// runResponse is the POST /v1/run reply. handleRun writes it member by
+// member around the result's shared encoding; the struct documents the
+// shape and is what clients decode into.
 type runResponse struct {
 	Key      engine.Key            `json:"key"`
 	Source   engine.Source         `json:"source"`
@@ -418,13 +479,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeSimError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, runResponse{
-		Key:      engine.KeyFor(cfg, bench, req.Instructions, seed),
-		Source:   src,
-		Cached:   src != engine.SourceSimulated && src != engine.SourceRemote,
-		Result:   res,
-		Sampling: res.Sampling,
-	})
+	key := engine.KeyFor(cfg, bench, req.Instructions, seed)
+	result, err := s.resultJSON(key, res, src)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding result: %v", err)
+		return
+	}
+	// The members of runResponse, in order, up to "result". The headroom
+	// covers them and the rest of the envelope, so the reply is built in
+	// one allocation.
+	keyJSON, _ := json.Marshal(key) // a Key always encodes
+	head := make([]byte, 0, 256+len(result))
+	head = append(head, `{"key":`...)
+	head = append(head, keyJSON...)
+	head = append(head, `,"source":`...)
+	head = appendJSONString(head, string(src))
+	head = append(head, `,"cached":`...)
+	head = strconv.AppendBool(head, src != engine.SourceSimulated && src != engine.SourceRemote)
+	writeResultReply(w, head, result, res.Sampling)
 }
 
 // gridRequest is the config x benchmark x seed grid shared by the sweep

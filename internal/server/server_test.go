@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"malec/internal/cluster"
 	"malec/internal/config"
 	"malec/internal/cpu"
 	"malec/internal/engine"
@@ -96,18 +97,31 @@ func TestHealthzAndListings(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	ts, _ := newTestServer(t, nil, Options{MaxInstructions: 1000})
+	ts, _ := newTestServer(t, nil, Options{MaxInstructions: 1000,
+		Cluster: cluster.New(cluster.Options{Self: "http://127.0.0.1:1"})})
+	const run, grid = `{"config":"MALEC","benchmark":"gzip","instructions":100,"seed":1}`,
+		`{"configs":["MALEC"],"benchmarks":["gzip"],"instructions":100}`
 	cases := []struct {
-		name, body string
+		name, path, body string
 	}{
-		{"unknown config", `{"config":"NoSuch","benchmark":"gzip"}`},
-		{"unknown benchmark", `{"config":"MALEC","benchmark":"nope"}`},
-		{"over instruction limit", `{"config":"MALEC","benchmark":"gzip","instructions":2000}`},
-		{"unknown field", `{"config":"MALEC","benchmark":"gzip","instrs":10}`},
-		{"malformed", `{"config":`},
+		{"unknown config", "/v1/run", `{"config":"NoSuch","benchmark":"gzip"}`},
+		{"unknown benchmark", "/v1/run", `{"config":"MALEC","benchmark":"nope"}`},
+		{"over instruction limit", "/v1/run", `{"config":"MALEC","benchmark":"gzip","instructions":2000}`},
+		{"unknown field", "/v1/run", `{"config":"MALEC","benchmark":"gzip","instrs":10}`},
+		{"malformed", "/v1/run", `{"config":`},
+		// One JSON value and nothing after it but white space.
+		{"run trailing garbage", "/v1/run", run + ` garbage`},
+		{"run two objects", "/v1/run", run + run},
+		{"run trailing bracket", "/v1/run", run + `]`},
+		{"sweep trailing garbage", "/v1/sweep", grid + ` x`},
+		{"sweep two objects", "/v1/sweep", grid + `{}`},
+		{"campaign trailing garbage", "/v1/campaigns", grid + ` 1`},
+		{"campaign two objects", "/v1/campaigns", grid + "\n" + grid},
+		{"point trailing garbage", "/internal/v1/point", `{"benchmark":"gzip","instructions":100,"seed":1} null`},
+		{"point two objects", "/internal/v1/point", `{"benchmark":"gzip"}{"benchmark":"gzip"}`},
 	}
 	for _, c := range cases {
-		resp, body := post(t, ts.URL+"/v1/run", c.body)
+		resp, body := post(t, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, body)
 		}
@@ -115,6 +129,9 @@ func TestRunValidation(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
 			t.Errorf("%s: no error envelope in %s", c.name, body)
 		}
+	}
+	if resp, body := post(t, ts.URL+"/v1/run", run+" \n\t\r\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing white space: status %d, want 200 (%s)", resp.StatusCode, body)
 	}
 	if resp, _ := post(t, ts.URL+"/healthz", ""); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /healthz status %d, want 405", resp.StatusCode)
