@@ -358,7 +358,6 @@ func run() (code int) {
 		bench      = flag.String("bench", "", "comma-separated benchmark subset (default all)")
 		cacheDir   = flag.String("cache-dir", "", "persist/reuse simulation results in this directory")
 		workers    = flag.Int("workers", 0, "max concurrent simulations (default GOMAXPROCS)")
-		traceCache = flag.Int("trace-cache", 0, "materialized-trace cache bound in records shared across configs (0 = default, negative = regenerate traces per simulation)")
 		quiet      = flag.Bool("quiet", false, "suppress progress notes on stderr")
 		throughput = flag.Bool("throughput", false, "measure simulator throughput instead of regenerating figures; prints JSON")
 		tputRuns   = flag.Int("throughput-runs", 3, "timed runs per configuration in -throughput mode")
@@ -449,8 +448,7 @@ func run() (code int) {
 	// All experiments share one engine, so simulation points common to
 	// several figures (every driver includes MALEC and the baselines) run
 	// once, and with -cache-dir repeat invocations are disk hits.
-	eng := engine.New(engine.Options{Workers: *workers, CacheDir: *cacheDir,
-		TraceCacheRecords: *traceCache})
+	eng := engine.New(engine.Options{Workers: *workers, CacheDir: *cacheDir})
 	opt := experiments.Options{Instructions: *n, Seed: *seed, Workers: *workers, Engine: eng}
 	if *bench != "" {
 		opt.Benchmarks = strings.Split(*bench, ",")

@@ -71,8 +71,6 @@ func main() {
 		maxInstr   = flag.Int("max-instructions", 5_000_000, "per-request instruction limit")
 		maxJobs    = flag.Int("max-sweep-jobs", 4096, "per-sweep expanded job limit")
 		maxCache   = flag.Int("max-cache-entries", 1<<14, "in-memory result cache bound (oldest evicted; 0 = unbounded)")
-		traceRec   = flag.Int("trace-cache", 0, "materialized-trace cache bound in records shared across configs (0 = default, negative = regenerate traces per simulation)")
-		ckptEnt    = flag.Int("checkpoint-entries", 0, "in-memory warmed-checkpoint cache bound for sampled simulations (0 = default, negative = disable checkpointing)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the same listener")
 		drain      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain window for in-flight requests on SIGINT/SIGTERM")
 		drainGrace = flag.Duration("drain-grace", 0, "pause between failing /readyz and closing the listener, so load balancers stop routing first")
@@ -94,11 +92,9 @@ func main() {
 	flag.Parse()
 
 	eng := engine.New(engine.Options{
-		Workers:           *workers,
-		CacheDir:          *cacheDir,
-		MaxCacheEntries:   *maxCache,
-		TraceCacheRecords: *traceRec,
-		CheckpointEntries: *ckptEnt,
+		Workers:         *workers,
+		CacheDir:        *cacheDir,
+		MaxCacheEntries: *maxCache,
 	})
 	// Admission defaults scale with simulation capacity: admit up to twice
 	// the worker count (the extra headroom keeps workers fed through cache

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -36,7 +35,9 @@ type CampaignSpec struct {
 	// Retries bounds how many times one job is re-attempted (with
 	// exponential backoff) after a transient failure — a contained
 	// simulation panic, e.g. an injected fault — before the job is
-	// declared failed. 0 disables retries; negative is treated as 0.
+	// declared failed. For RunCampaign, 0 disables retries and negative is
+	// treated as 0. For a durable campaign (CampaignManager.Start), 0
+	// selects the manager's DefaultRetries rather than disabling retries.
 	Retries int
 	// Progress, if set, is called after each job completes with the
 	// number of finished jobs, the total, and the finished job.
@@ -122,26 +123,12 @@ func (s CampaignSpec) expand() []Job {
 	return jobs
 }
 
-// PanicError reports a simulation that panicked during a campaign. Direct
-// RunTracked callers see simulator panics re-raised; campaign workers
-// instead contain them here so one bad point fails the sweep, not the
-// process hosting it.
-type PanicError struct {
-	Job   Job
-	Value any
-}
-
-// Error implements error.
-func (p *PanicError) Error() string {
-	return fmt.Sprintf("engine: simulation %s panicked: %v", p.Job.Key, p.Value)
-}
-
 // RunCampaign expands the spec into jobs and runs them through the engine
 // with bounded parallelism. Each worker writes results into its own
 // pre-assigned slice positions, so no lock is held on the result path; the
 // output order is the deterministic expansion order regardless of worker
 // count or completion order. If any simulation panics, the remaining jobs
-// still run and RunCampaign returns a *PanicError for the first failed
+// still run and RunCampaign returns a *SimPanicError for the first failed
 // one with no campaign.
 func (e *Engine) RunCampaign(spec CampaignSpec) (*Campaign, error) {
 	return e.RunCampaignContext(context.Background(), spec)
@@ -151,8 +138,8 @@ func (e *Engine) RunCampaign(spec CampaignSpec) (*Campaign, error) {
 // cancelled, no further jobs are fed, in-flight points stop at their next
 // cancellation check, and the context's error is returned. Simulation
 // panics are retried up to spec.Retries times per job with exponential
-// backoff; a job that exhausts its retries surfaces as *PanicError (the
-// remaining jobs still run to completion).
+// backoff; a job that exhausts its retries surfaces as *SimPanicError
+// (the remaining jobs still run to completion).
 func (e *Engine) RunCampaignContext(ctx context.Context, spec CampaignSpec) (*Campaign, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -223,7 +210,7 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 	runOne := func(j Job) (jr JobResult, attempts int, err error) {
 		defer func() {
 			if r := recover(); r != nil {
-				err = &PanicError{Job: j, Value: r}
+				err = &SimPanicError{Key: j.Key, Value: r}
 			}
 		}()
 		for attempt := 0; ; attempt++ {
@@ -233,10 +220,6 @@ func (e *Engine) runJobs(ctx context.Context, jobs []Job, workers, retries int, 
 			}
 			if isCancellation(err) {
 				return JobResult{Job: j}, attempt, err
-			}
-			var pe *SimPanicError
-			if errors.As(err, &pe) {
-				err = &PanicError{Job: j, Value: pe.Value}
 			}
 			if attempt >= retries {
 				return JobResult{Job: j}, attempt, err

@@ -11,13 +11,11 @@ package engine
 //
 // The store is two-level: a bounded in-memory FIFO of live snapshots (so
 // reuse works with no CacheDir configured, e.g. in tests and CI smokes),
-// plus optional JSON persistence under the engine's cache directory using
-// the same temp-file-and-rename discipline as the result store.
+// plus optional JSON persistence under the engine's cache directory through
+// the same entry writer and reader as the result store.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -26,10 +24,9 @@ import (
 	"malec/internal/faultinject"
 )
 
-// DefaultCheckpointEntries bounds the in-memory checkpoint cache when
-// Options leaves it unset. A snapshot is a few hundred KB of slabs
-// (dominated by L1/L2 line arrays), so the default holds a campaign's
-// working set in tens of MB.
+// DefaultCheckpointEntries bounds the in-memory checkpoint cache. A
+// snapshot is a few hundred KB of slabs (dominated by L1/L2 line arrays),
+// so the bound holds a campaign's working set in tens of MB.
 const DefaultCheckpointEntries = 128
 
 // ckKey identifies one warmed snapshot.
@@ -47,32 +44,28 @@ func (k ckKey) filename() string {
 // checkpointStore is the engine-level store; scoped views implementing
 // cpu.Checkpoints are curried per simulation. Safe for concurrent use.
 type checkpointStore struct {
-	dir        string // disk root ("" disables persistence)
-	maxEntries int
+	dir string // disk root ("" disables persistence)
 
 	hits         atomic.Uint64
 	misses       atomic.Uint64
 	bytesRead    atomic.Uint64
 	bytesWritten atomic.Uint64
-	quarantined  atomic.Uint64 // corrupt disk entries renamed aside
+	quarantined  *atomic.Uint64 // corrupt disk entries renamed aside (shared with the result store)
 
 	mu      sync.Mutex
 	entries map[ckKey]*cpu.Checkpoint
 	order   []ckKey // insertion order, for FIFO eviction
 }
 
-func newCheckpointStore(dir string, maxEntries int) *checkpointStore {
-	if maxEntries <= 0 {
-		maxEntries = DefaultCheckpointEntries
-	}
+func newCheckpointStore(dir string, quarantined *atomic.Uint64) *checkpointStore {
 	return &checkpointStore{
-		dir:        dir,
-		maxEntries: maxEntries,
-		entries:    make(map[ckKey]*cpu.Checkpoint),
+		dir:         dir,
+		quarantined: quarantined,
+		entries:     make(map[ckKey]*cpu.Checkpoint),
 	}
 }
 
-// diskEntry mirrors the result store's versioned envelope so stale
+// ckDiskEntry mirrors the result store's versioned envelope so stale
 // generations read as misses.
 type ckDiskEntry struct {
 	Version int             `json:"version"`
@@ -112,31 +105,15 @@ func (s *checkpointStore) load(key ckKey) (*cpu.Checkpoint, bool) {
 	return nil, false
 }
 
-// loadDisk fetches a persisted snapshot. Read failures are plain misses;
-// an entry that reads but fails to decode or validate is corrupt and is
-// quarantined aside (.corrupt rename) so it is never re-read hot — a
-// damaged checkpoint silently degrades to re-warming, never to wrong
-// state.
+// loadDisk fetches a persisted snapshot through the shared store reader:
+// a damaged checkpoint is quarantined and silently degrades to
+// re-warming, never to wrong state.
 func (s *checkpointStore) loadDisk(key ckKey) (*cpu.Checkpoint, bool) {
-	path := s.diskPath(key)
-	if faultinject.DiskRead.Fire() {
-		return nil, false
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	faultinject.CkptCorrupt.CorruptBytes(data)
-	var ent ckDiskEntry
-	if err := json.Unmarshal(data, &ent); err != nil ||
-		ent.Version != DiskFormatVersion || ent.Key != key || ent.State == nil || ent.State.Sys == nil {
-		if quarantineCorrupt(path) {
-			s.quarantined.Add(1)
-		}
-		return nil, false
-	}
-	s.bytesRead.Add(uint64(len(data)))
-	return ent.State, true
+	ent, n, ok := readEntry(s.diskPath(key), faultinject.CkptCorrupt, s.quarantined, func(ent *ckDiskEntry) bool {
+		return ent.Version == DiskFormatVersion && ent.Key == key && ent.State != nil && ent.State.Sys != nil
+	})
+	s.bytesRead.Add(uint64(n))
+	return ent.State, ok
 }
 
 // save stores a snapshot in memory and, when configured, on disk.
@@ -147,36 +124,8 @@ func (s *checkpointStore) save(key ckKey, st *cpu.Checkpoint) {
 	if s.dir == "" {
 		return
 	}
-	if faultinject.DiskWrite.Fire() {
-		return
-	}
-	path := s.diskPath(key)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	data, err := json.Marshal(ckDiskEntry{Version: DiskFormatVersion, Key: key, State: st})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, key.filename()+".tmp*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	s.bytesWritten.Add(uint64(len(data)))
+	n := writeEntry(s.diskPath(key), ckDiskEntry{Version: DiskFormatVersion, Key: key, State: st})
+	s.bytesWritten.Add(uint64(n))
 }
 
 // put inserts under the FIFO bound. Caller holds s.mu.
@@ -185,7 +134,7 @@ func (s *checkpointStore) put(key ckKey, st *cpu.Checkpoint) {
 		s.order = append(s.order, key)
 	}
 	s.entries[key] = st
-	for len(s.entries) > s.maxEntries {
+	for len(s.entries) > DefaultCheckpointEntries {
 		oldest := s.order[0]
 		s.order = s.order[1:]
 		delete(s.entries, oldest)

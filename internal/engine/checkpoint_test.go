@@ -113,23 +113,3 @@ func TestCheckpointDiskPersistence(t *testing.T) {
 		t.Fatalf("disk restore reported no bytes read: %+v", st)
 	}
 }
-
-// TestCheckpointEntriesDisables checks the negative-bound escape hatch: no
-// store is constructed, so sampled runs neither save nor restore.
-func TestCheckpointEntriesDisables(t *testing.T) {
-	cfg := config.MALEC()
-	cfg.Sampling = ckTestSchedule()
-	e := New(Options{Workers: 1, CheckpointEntries: -1})
-	res := e.Run(cfg, "gzip", 60000, 1)
-	if res.Sampling == nil {
-		t.Fatal("sampled path did not engage")
-	}
-	if res.Sampling.CheckpointHits != 0 || res.Sampling.CheckpointMisses != res.Sampling.Windows {
-		t.Fatalf("disabled store still hit checkpoints: %+v", res.Sampling)
-	}
-	st := e.Stats()
-	if st.CheckpointHits != 0 || st.CheckpointMisses != 0 ||
-		st.CheckpointBytesRead != 0 || st.CheckpointBytesWritten != 0 {
-		t.Fatalf("disabled store reported traffic: %+v", st)
-	}
-}

@@ -261,7 +261,7 @@ func TestCampaignRetryDegradesToPartial(t *testing.T) {
 
 // TestRunCampaignContextRetries covers the synchronous path: Retries turns
 // a transient panic into a success, and an exhausted bound surfaces as
-// PanicError.
+// SimPanicError.
 func TestRunCampaignContextRetries(t *testing.T) {
 	var mu sync.Mutex
 	left := 2
@@ -295,9 +295,9 @@ func TestRunCampaignContextRetries(t *testing.T) {
 	eng2 := New(Options{Workers: 1, Simulate: sim})
 	spec.Retries = 1
 	_, err = eng2.RunCampaign(spec)
-	var pe *PanicError
+	var pe *SimPanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("exhausted retries returned %v, want PanicError", err)
+		t.Fatalf("exhausted retries returned %v, want SimPanicError", err)
 	}
 }
 
@@ -363,10 +363,11 @@ func TestCampaignSurvivesJournalFaults(t *testing.T) {
 }
 
 func TestPoisonedMapBounded(t *testing.T) {
-	eng := New(Options{Workers: 1, MaxPoisonedKeys: 2,
+	eng := New(Options{Workers: 1,
 		Simulate: func(cfg config.Config, b string, n int, s uint64) cpu.Result {
 			panic("always")
 		}})
+	eng.maxPoisoned = 2
 	cfg := config.MALEC()
 	for seed := uint64(1); seed <= 4; seed++ {
 		_, _, err := eng.RunContext(context.Background(), cfg, "gzip", 1000, seed)

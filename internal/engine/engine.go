@@ -62,25 +62,6 @@ type Options struct {
 	// means unbounded — appropriate for one-shot campaigns; long-lived
 	// processes should set a bound.
 	MaxCacheEntries int
-	// CheckpointEntries bounds the in-memory warmed-checkpoint cache (zero
-	// selects DefaultCheckpointEntries, negative disables checkpointing).
-	// Checkpoints persist to disk alongside results when CacheDir is set;
-	// they only apply to sampled simulations (Config.Sampling != nil).
-	CheckpointEntries int
-	// MaxPoisonedKeys bounds the poisoned-key quarantine map; when full,
-	// the oldest poisoned key is forgotten (FIFO), so panic churn cannot
-	// grow the map without limit. Zero selects DefaultMaxPoisonedKeys;
-	// negative disables the bound.
-	MaxPoisonedKeys int
-	// TraceCacheRecords bounds the engine's materialized-trace cache in
-	// total trace records (not bytes): the engine generates each
-	// (benchmark, seed) workload once per campaign and shares the flat
-	// record arena between every configuration simulating it, instead of
-	// regenerating the byte-identical trace per config. Zero selects
-	// DefaultTraceCacheRecords; a negative value disables trace caching
-	// (every simulation generates its own trace, the pre-cache behavior).
-	// Ignored when Simulate is set.
-	TraceCacheRecords int
 	// Simulate overrides the simulation function (tests only).
 	Simulate SimulateFunc
 	// SimulateContext overrides the simulation function with a
@@ -89,16 +70,19 @@ type Options struct {
 	SimulateContext SimulateContextFunc
 }
 
-// DefaultMaxPoisonedKeys is the default poisoned-key quarantine bound.
-// A thousand distinct panicking points means something systemic, not a
-// per-key record worth keeping; FIFO eviction past the bound keeps the
-// map a fixed-size incident log.
+// DefaultMaxPoisonedKeys bounds the poisoned-key quarantine map: when
+// full, the oldest poisoned key is forgotten (FIFO), so panic churn cannot
+// grow the map without limit. A thousand distinct panicking points means
+// something systemic, not a per-key record worth keeping.
 const DefaultMaxPoisonedKeys = 1024
 
-// DefaultTraceCacheRecords is the default materialized-trace cache bound:
-// 8M records (~200 MB of trace arena) holds the in-flight working set of
-// any realistic campaign, since RunCampaign orders execution so that all
-// configurations sharing one workload run back to back.
+// DefaultTraceCacheRecords bounds the engine's materialized-trace cache in
+// total trace records (not bytes): the engine generates each (benchmark,
+// seed) workload once per campaign and shares the flat record arena
+// between every configuration simulating it. 8M records (~200 MB of trace
+// arena) holds the in-flight working set of any realistic campaign, since
+// RunCampaign orders execution so that all configurations sharing one
+// workload run back to back.
 const DefaultTraceCacheRecords = 1 << 23
 
 // Source reports where a result came from.
@@ -136,7 +120,7 @@ type Stats struct {
 	// TraceHits and TraceMisses count materialized-trace cache activity:
 	// hits are simulations served from an already-generated shared trace
 	// arena, misses had to generate (or extend) one. Both stay zero when
-	// trace caching is disabled or a custom Simulate is installed.
+	// a custom Simulate is installed.
 	TraceHits   uint64 `json:"traceHits"`
 	TraceMisses uint64 `json:"traceMisses"`
 	// TraceRecords is the number of trace records currently held by the
@@ -153,7 +137,7 @@ type Stats struct {
 	// CheckpointHits and CheckpointMisses count warmed-checkpoint lookups
 	// at sampled-simulation window boundaries: a hit restores warm
 	// memory-side state instead of re-warming the interval. Both stay zero
-	// when checkpointing is disabled or no sampled simulation has run.
+	// until a sampled simulation has run.
 	CheckpointHits   uint64 `json:"checkpointHits"`
 	CheckpointMisses uint64 `json:"checkpointMisses"`
 	// CheckpointBytesRead and CheckpointBytesWritten count checkpoint disk
@@ -173,7 +157,7 @@ type Stats struct {
 	// renamed aside with a .corrupt suffix.
 	Quarantined uint64 `json:"quarantined"`
 	// PoisonedKeys is the current poisoned-map size (a gauge, bounded by
-	// Options.MaxPoisonedKeys).
+	// DefaultMaxPoisonedKeys).
 	PoisonedKeys int `json:"poisonedKeys"`
 	// CorruptPruned counts .corrupt quarantine files removed by retention
 	// sweeps (PruneCorrupt).
@@ -189,6 +173,7 @@ func (s Stats) Lookups() uint64 {
 // The engine recovers worker panics instead of letting them unwind the
 // process, returns this error to every caller of the key, and quarantines
 // the key so a poisoned point is never re-run hot (no re-panic storm).
+// Campaigns return it unchanged for a job that exhausts its retries.
 type SimPanicError struct {
 	Key   Key
 	Value any
@@ -221,8 +206,8 @@ type Engine struct {
 	cacheDir   string
 	maxEntries int
 	sem        chan struct{}    // bounds concurrent simulations
-	traces     *trace.Cache     // shared materialized traces (nil: disabled)
-	ckpts      *checkpointStore // warmed checkpoints (nil: disabled)
+	traces     *trace.Cache     // shared materialized traces
+	ckpts      *checkpointStore // warmed checkpoints
 
 	// Scheduler gauges, updated outside e.mu: queued counts goroutines
 	// waiting for a worker slot, running counts simulations in flight.
@@ -234,22 +219,28 @@ type Engine struct {
 	// points never consume local simulation capacity.
 	remote atomic.Pointer[RemoteFunc]
 
-	// filesQuarantined counts corrupt result-store entries renamed aside
-	// (outside e.mu: loadDisk runs on the job path).
+	// filesQuarantined counts corrupt result-store and checkpoint entries
+	// renamed aside (outside e.mu: disk loads run on the job path).
 	filesQuarantined atomic.Uint64
 	// corruptPruned counts .corrupt files removed by PruneCorrupt sweeps.
 	corruptPruned atomic.Uint64
 
-	maxPoisoned int // poisoned-map bound (<= 0: unbounded)
+	maxPoisoned int // poisoned-map bound
 
 	mu          sync.Mutex
-	cache       map[Key]cpu.Result
-	encoded     map[Key][]byte // memoized json.Marshal of cache entries, evicted with them
-	order       []Key          // cache insertion order, for FIFO eviction
+	cache       map[Key]cacheEntry
+	order       []Key // cache insertion order, for FIFO eviction
 	inflight    map[Key]*call
 	poisoned    map[Key]error // keys whose simulation panicked, never re-run
 	poisonOrder []Key         // poisoning order, for FIFO eviction
 	stats       Stats
+}
+
+// cacheEntry is one in-memory result plus, once the result is re-read
+// through ResultJSON, its memoized json.Marshal bytes — evicted with it.
+type cacheEntry struct {
+	res     cpu.Result
+	encoded []byte
 }
 
 // New returns an Engine with the given options.
@@ -257,19 +248,17 @@ func New(opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.MaxPoisonedKeys == 0 {
-		opts.MaxPoisonedKeys = DefaultMaxPoisonedKeys
-	}
 	e := &Engine{
 		cacheDir:    opts.CacheDir,
 		maxEntries:  opts.MaxCacheEntries,
 		sem:         make(chan struct{}, opts.Workers),
-		cache:       make(map[Key]cpu.Result),
-		encoded:     make(map[Key][]byte),
+		traces:      trace.NewCache(DefaultTraceCacheRecords),
+		cache:       make(map[Key]cacheEntry),
 		inflight:    make(map[Key]*call),
 		poisoned:    make(map[Key]error),
-		maxPoisoned: opts.MaxPoisonedKeys,
+		maxPoisoned: DefaultMaxPoisonedKeys,
 	}
+	e.ckpts = newCheckpointStore(opts.CacheDir, &e.filesQuarantined)
 	e.simulate = opts.SimulateContext
 	if e.simulate == nil && opts.Simulate != nil {
 		sim := opts.Simulate
@@ -278,30 +267,10 @@ func New(opts Options) *Engine {
 		}
 	}
 	if e.simulate == nil {
-		if opts.CheckpointEntries >= 0 {
-			e.ckpts = newCheckpointStore(opts.CacheDir, opts.CheckpointEntries)
-		}
-		bound := opts.TraceCacheRecords
-		if bound == 0 {
-			bound = DefaultTraceCacheRecords
-		}
-		if bound > 0 {
-			e.traces = trace.NewCache(bound)
-			e.simulate = func(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
-				recs := e.traces.Records(benchmark, seed, instructions)
-				return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark,
-					&cpu.SliceSource{Records: recs}, e.checkpoints(cfg, benchmark, seed))
-			}
-		} else {
-			e.simulate = func(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
-				prof, ok := trace.Profiles[benchmark]
-				if !ok {
-					panic(fmt.Sprintf("engine: unknown benchmark %q", benchmark))
-				}
-				gen := trace.NewGenerator(prof, seed)
-				return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark,
-					&cpu.GenSource{Gen: gen, N: instructions}, e.checkpoints(cfg, benchmark, seed))
-			}
+		e.simulate = func(ctx context.Context, cfg config.Config, benchmark string, instructions int, seed uint64) (cpu.Result, error) {
+			recs := e.traces.Records(benchmark, seed, instructions)
+			return cpu.RunWithCheckpointsContext(ctx, cfg, benchmark, &cpu.SliceSource{Records: recs},
+				e.ckpts.scoped(MemSideDigest(cfg), benchmark, seed))
 		}
 	}
 	return e
@@ -347,23 +316,13 @@ func isLocalOnly(ctx context.Context) bool {
 	return v
 }
 
-// checkpoints returns the warmed-checkpoint view for one simulation point,
-// scoped by memory-side digest so core-side config variants share entries.
-// Nil when checkpointing is disabled.
-func (e *Engine) checkpoints(cfg config.Config, benchmark string, seed uint64) cpu.Checkpoints {
-	if e.ckpts == nil {
-		return nil
-	}
-	return e.ckpts.scoped(MemSideDigest(cfg), benchmark, seed)
-}
-
 // store inserts a result into the in-memory cache, evicting the oldest
 // entries past the bound. Caller holds e.mu.
 func (e *Engine) store(key Key, res cpu.Result) {
 	if _, ok := e.cache[key]; !ok {
 		e.order = append(e.order, key)
 	}
-	e.cache[key] = res
+	e.cache[key] = cacheEntry{res: res}
 	if e.maxEntries <= 0 {
 		return
 	}
@@ -371,20 +330,19 @@ func (e *Engine) store(key Key, res cpu.Result) {
 		oldest := e.order[0]
 		e.order = e.order[1:]
 		delete(e.cache, oldest)
-		delete(e.encoded, oldest)
 	}
 }
 
 // ResultJSON returns json.Marshal(res) for the result the engine returned
 // under key. A result still in the memory cache is encoded once and the
-// bytes kept beside its entry until eviction, so every later hit on the
+// bytes kept in its cache entry until eviction, so every later hit on the
 // point shares them; a result no longer in memory is encoded afresh and not
 // kept. The returned bytes are shared: callers must not modify them.
 func (e *Engine) ResultJSON(key Key, res cpu.Result) ([]byte, error) {
 	e.mu.Lock()
-	data, ok := e.encoded[key]
+	data := e.cache[key].encoded
 	e.mu.Unlock()
-	if ok {
+	if data != nil {
 		return data, nil
 	}
 	// Encode outside the lock; two racing first hits both encode, and
@@ -394,8 +352,9 @@ func (e *Engine) ResultJSON(key Key, res cpu.Result) ([]byte, error) {
 		return nil, err
 	}
 	e.mu.Lock()
-	if _, cached := e.cache[key]; cached {
-		e.encoded[key] = data
+	if ent, cached := e.cache[key]; cached {
+		ent.encoded = data
+		e.cache[key] = ent
 	}
 	e.mu.Unlock()
 	return data, nil
@@ -443,10 +402,10 @@ func (e *Engine) RunContext(ctx context.Context, cfg config.Config, benchmark st
 			return cpu.Result{}, "", err
 		}
 		e.mu.Lock()
-		if res, ok := e.cache[key]; ok {
+		if ent, ok := e.cache[key]; ok {
 			e.stats.Hits++
 			e.mu.Unlock()
-			return res, SourceMemory, nil
+			return ent.res, SourceMemory, nil
 		}
 		if err, ok := e.poisoned[key]; ok {
 			e.mu.Unlock()
@@ -611,9 +570,6 @@ func (e *Engine) poison(key Key, err error) {
 		e.poisonOrder = append(e.poisonOrder, key)
 	}
 	e.poisoned[key] = err
-	if e.maxPoisoned <= 0 {
-		return
-	}
 	for len(e.poisoned) > e.maxPoisoned {
 		oldest := e.poisonOrder[0]
 		e.poisonOrder = e.poisonOrder[1:]
@@ -672,8 +628,8 @@ func (e *Engine) PruneCorrupt(maxAge time.Duration) int {
 func (e *Engine) Cached(key Key) (cpu.Result, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	res, ok := e.cache[key]
-	return res, ok
+	ent, ok := e.cache[key]
+	return ent.res, ok
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -686,19 +642,14 @@ func (e *Engine) Stats() Stats {
 	s.CorruptPruned = e.corruptPruned.Load()
 	s.QueueDepth = int(e.queued.Load())
 	s.Running = int(e.running.Load())
-	if e.traces != nil {
-		ts := e.traces.Stats()
-		s.TraceHits = ts.Hits
-		s.TraceMisses = ts.Misses
-		s.TraceRecords = ts.Records
-	}
-	if e.ckpts != nil {
-		s.CheckpointHits = e.ckpts.hits.Load()
-		s.CheckpointMisses = e.ckpts.misses.Load()
-		s.CheckpointBytesRead = e.ckpts.bytesRead.Load()
-		s.CheckpointBytesWritten = e.ckpts.bytesWritten.Load()
-		s.Quarantined += e.ckpts.quarantined.Load()
-	}
+	ts := e.traces.Stats()
+	s.TraceHits = ts.Hits
+	s.TraceMisses = ts.Misses
+	s.TraceRecords = ts.Records
+	s.CheckpointHits = e.ckpts.hits.Load()
+	s.CheckpointMisses = e.ckpts.misses.Load()
+	s.CheckpointBytesRead = e.ckpts.bytesRead.Load()
+	s.CheckpointBytesWritten = e.ckpts.bytesWritten.Load()
 	s.Quarantined += e.filesQuarantined.Load()
 	return s
 }
@@ -730,73 +681,21 @@ func (e *Engine) diskPath(key Key) string {
 	return filepath.Join(e.cacheDir, fmt.Sprintf("v%d", DiskFormatVersion), key.shard(), key.filename())
 }
 
-// loadDisk fetches a persisted result. A read failure (including an
-// injected one) is a plain miss: the store is a cache, never a source of
-// truth. A file that reads fine but fails to decode or validate is
-// corrupt: it is quarantined aside with a .corrupt rename and counted, so
-// a damaged entry is never re-parsed hot on every subsequent lookup.
+// loadDisk fetches a persisted result through the shared store reader:
+// read failures are misses, corrupt entries are quarantined.
 func (e *Engine) loadDisk(key Key) (cpu.Result, bool) {
 	if e.cacheDir == "" {
 		return cpu.Result{}, false
 	}
-	path := e.diskPath(key)
-	if faultinject.DiskRead.Fire() {
-		return cpu.Result{}, false
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return cpu.Result{}, false
-	}
-	faultinject.DiskCorrupt.CorruptBytes(data)
-	var ent diskEntry
-	if err := json.Unmarshal(data, &ent); err != nil || ent.Version != DiskFormatVersion || ent.Key != key {
-		if quarantineCorrupt(path) {
-			e.filesQuarantined.Add(1)
-		}
-		return cpu.Result{}, false
-	}
-	return ent.Result, true
+	ent, _, ok := readEntry(e.diskPath(key), faultinject.DiskCorrupt, &e.filesQuarantined,
+		func(ent *diskEntry) bool { return ent.Version == DiskFormatVersion && ent.Key == key })
+	return ent.Result, ok
 }
 
-// quarantineCorrupt moves a damaged store entry aside so it is read (and
-// fails) exactly once; the .corrupt sibling is kept for post-mortems.
-// Reports whether the rename succeeded.
-func quarantineCorrupt(path string) bool {
-	return os.Rename(path, path+".corrupt") == nil
-}
-
-// saveDisk persists a result, writing to a temp file and renaming so a
-// concurrent reader never observes a partial entry. Persistence is best
-// effort: on any error the entry is simply not stored.
+// saveDisk persists a result (best effort).
 func (e *Engine) saveDisk(key Key, res cpu.Result) {
 	if e.cacheDir == "" {
 		return
 	}
-	if faultinject.DiskWrite.Fire() {
-		return
-	}
-	dir := filepath.Dir(e.diskPath(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	data, err := json.Marshal(diskEntry{Version: DiskFormatVersion, Key: key, Result: res})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, key.filename()+".tmp*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), e.diskPath(key)); err != nil {
-		os.Remove(tmp.Name())
-	}
+	writeEntry(e.diskPath(key), diskEntry{Version: DiskFormatVersion, Key: key, Result: res})
 }

@@ -56,17 +56,24 @@ func TestPresetDigestTable(t *testing.T) {
 	}
 }
 
-// checkMemoBounded asserts that every memoized encoding belongs to a live
-// cache entry.
-func checkMemoBounded(t *testing.T, e *Engine) {
+// checkMemoBounded asserts that every memoized encoding is the JSON of
+// the cache entry holding it (the memo lives in the entry, so it cannot
+// outlive it) and returns how many entries carry one.
+func checkMemoBounded(t *testing.T, e *Engine) int {
 	t.Helper()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for k := range e.encoded {
-		if _, ok := e.cache[k]; !ok {
-			t.Fatalf("memoized encoding of %s outlives its cache entry", k)
+	memo := 0
+	for k, ent := range e.cache {
+		if ent.encoded == nil {
+			continue
+		}
+		memo++
+		if want, _ := json.Marshal(ent.res); !bytes.Equal(ent.encoded, want) {
+			t.Fatalf("memoized encoding of %s differs from its entry's result", k)
 		}
 	}
+	return memo
 }
 
 // TestResultJSONMemoEviction fills the memo under a two-entry cache and
@@ -97,10 +104,7 @@ func TestResultJSONMemoEviction(t *testing.T) {
 			}
 		}
 	}
-	e.mu.Lock()
-	memo := len(e.encoded)
-	e.mu.Unlock()
-	if memo != 2 {
+	if memo := checkMemoBounded(t, e); memo != 2 {
 		t.Fatalf("memo holds %d encodings, want 2", memo)
 	}
 

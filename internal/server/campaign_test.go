@@ -3,8 +3,10 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,11 +203,21 @@ func TestCampaignValidationAndBackpressure(t *testing.T) {
 	if resp, body := post(t, ts.URL+"/v1/campaigns", `{"configs":["nope"]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown config: status %d body %s", resp.StatusCode, body)
 	}
+	// Retry bounds: negative values and values past the cap are 400, so
+	// one client cannot pin a campaign slot on an always-panicking point.
+	for _, retries := range []int{-1, maxCampaignRetries + 1, 1_000_000_000} {
+		b := fmt.Sprintf(`{"configs":["MALEC"],"benchmarks":["gzip"],"instructions":2000,"retries":%d}`, retries)
+		if resp, body := post(t, ts.URL+"/v1/campaigns", b); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("retries %d: status %d body %s, want 400", retries, resp.StatusCode, body)
+		}
+	}
 	if resp := get(t, ts.URL+"/v1/campaigns/deadbeef", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: status %d", resp.StatusCode)
 	}
 
-	resp, body := post(t, ts.URL+"/v1/campaigns", campaignBody)
+	// The cap itself is accepted.
+	capped := strings.Replace(campaignBody, `{`, fmt.Sprintf(`{"retries":%d,`, maxCampaignRetries), 1)
+	resp, body := post(t, ts.URL+"/v1/campaigns", capped)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create: status %d %s", resp.StatusCode, body)
 	}

@@ -27,11 +27,18 @@ import (
 	"malec/internal/engine"
 )
 
+// maxCampaignRetries caps a client's per-job retry bound. Each retry
+// sleeps up to 2 s of backoff and re-runs the point, so an unbounded value
+// would let one deterministically panicking point hold a MaxActive slot
+// practically forever.
+const maxCampaignRetries = 10
+
 // campaignRequest is the POST /v1/campaigns body.
 type campaignRequest struct {
 	gridRequest
 	// Retries bounds per-job retry attempts before a point is declared
-	// failed (default: the manager's default, 2).
+	// failed: 0 (or absent) selects the manager's default, 1 through
+	// maxCampaignRetries set the bound; anything else is rejected.
 	Retries int `json:"retries"`
 }
 
@@ -44,6 +51,10 @@ func (s *Server) handleCampaignCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var req campaignRequest
 	if !readBody(w, r, &req) {
+		return
+	}
+	if req.Retries < 0 || req.Retries > maxCampaignRetries {
+		writeError(w, http.StatusBadRequest, "retries %d out of range [0, %d]", req.Retries, maxCampaignRetries)
 		return
 	}
 	cfgs, err := s.resolveGrid(&req.gridRequest)

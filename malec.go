@@ -195,7 +195,7 @@ var (
 type Engine = engine.Engine
 
 // EngineOptions configures NewEngine (workers, disk cache directory,
-// materialized-trace cache bound).
+// in-memory result cache bound).
 type EngineOptions = engine.Options
 
 // EngineStats snapshots an engine's cache and scheduler counters.
